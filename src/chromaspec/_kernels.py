@@ -1,106 +1,16 @@
-"""Hot enumeration kernels: numba-jitted with a pure-numpy fallback.
+"""Stub that exists only for the benchmark under ``perfbench/``.
 
-Set the environment variable ``CHROMASPEC_NO_NUMBA=1`` to force the numpy
-path (also used automatically when numba is not installed). Both paths are
-exercised by the test suite and compared by ``benchmarks/bench_kernels.py``.
+``perfbench/workload.py`` reports ``using_numba()`` in every run, and
+``perfbench/spans.py`` looks ``connected_masks`` up by name in traced runs.
+Nothing in the library or the tests imports this module: graphs are
+enumerated by :func:`chromaspec.search.connected_classes`.
 """
-
-from __future__ import annotations
-
-import os
-
-import numpy as np
-
-__all__ = ["connected_masks", "using_numba", "pair_bit_index"]
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("CHROMASPEC_NO_NUMBA", "").lower() in {"1", "true", "yes"}
-
-
-def pair_bit_index(n: int) -> np.ndarray:
-    """bit index of edge (i, j), i < j, in the upper-triangular mask layout."""
-    idx = np.zeros((n, n), dtype=np.int64)
-    e = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            idx[i, j] = idx[j, i] = e
-            e += 1
-    return idx
-
-
-def _rows_from_masks(masks: np.ndarray, n: int) -> np.ndarray:
-    """Adjacency bitset row of each vertex, for every mask (vectorized)."""
-    idx = pair_bit_index(n)
-    rows = np.zeros((len(masks), n), dtype=np.uint64)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            bit = (masks >> np.uint64(idx[i, j])) & np.uint64(1)
-            rows[:, i] |= bit << np.uint64(j)
-    return rows
-
-
-def _connected_masks_numpy(n: int) -> np.ndarray:
-    nbits = n * (n - 1) // 2
-    masks = np.arange(1 << nbits, dtype=np.uint64)
-    if n == 1:
-        return masks  # the single vertex is trivially connected
-    rows = _rows_from_masks(masks, n)
-    reach = np.ones(len(masks), dtype=np.uint64)
-    for _ in range(n):
-        for i in range(n):
-            sel = (reach >> np.uint64(i)) & np.uint64(1)
-            reach |= rows[:, i] * sel
-    full = np.uint64((1 << n) - 1)
-    return masks[reach == full]
-
-
-def _connected_masks_python(n: int, idx: np.ndarray) -> np.ndarray:
-    # plain-python twin of the jitted kernel, compiled below when possible
-    nbits = n * (n - 1) // 2
-    out = np.empty(1 << nbits, dtype=np.uint64)
-    count = 0
-    full = (1 << n) - 1
-    for mask in range(1 << nbits):
-        rows = np.zeros(n, dtype=np.uint64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (mask >> idx[i, j]) & 1:
-                    rows[i] |= np.uint64(1 << j)
-                    rows[j] |= np.uint64(1 << i)
-        reach = 1
-        for _ in range(n):
-            for i in range(n):
-                if (reach >> i) & 1:
-                    reach |= int(rows[i])
-        if reach == full:
-            out[count] = mask
-            count += 1
-    return out[:count]
-
-
-_jitted = None
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        _jitted = njit(cache=True)(_connected_masks_python)
-    except ImportError:
-        _jitted = None
 
 
 def using_numba() -> bool:
-    return _jitted is not None
+    return False
 
 
-def connected_masks(n: int) -> np.ndarray:
-    """All upper-triangular adjacency bitmasks of connected graphs on n vertices."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n == 1:
-        return np.zeros(1, dtype=np.uint64)
-    if _jitted is not None:
-        return _jitted(n, pair_bit_index(n))
-    return _connected_masks_numpy(n)
+def connected_masks(n: int):
+    """Never called; graphs are enumerated in :mod:`chromaspec.search`."""
+    raise NotImplementedError("use chromaspec.search.connected_classes")

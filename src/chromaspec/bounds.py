@@ -199,7 +199,8 @@ def full_report(g: Graph, tol: float = DEFAULT_GROUP_TOL) -> BoundReport:
         colorings = enumerate_chi_colorings(g, chi)
         complete_enum = True
     else:
-        colorings = [dsatur(g)] if dsatur(g).k == chi else []
+        first = dsatur(g)
+        colorings = [first] if first.k == chi else []
         complete_enum = False
         notes.append(f"n > {ENUMERATION_CAP}: only a first-found coloring checked")
     equitable = tuple(is_equitable_DinvA(g, c) for c in colorings)

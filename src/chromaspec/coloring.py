@@ -160,10 +160,10 @@ def chromatic_number(g: Graph) -> int:
     if g.num_edges == 0:
         return 1
     upper = dsatur(g).k
-    lower = len(greedy_clique(g))
-    k = max(lower, 2)
+    clique = greedy_clique(g)
+    k = max(len(clique), 2)
     while k < upper:
-        if _can_color_with(g, k, greedy_clique(g)):
+        if _can_color_with(g, k, clique):
             return k
         k += 1
     return upper
