@@ -1,10 +1,15 @@
 """Exact coloring machinery and coloring-tied eigenfunction constructions.
 
-Chromatic number is exact: DSATUR gives the upper bound, a greedy maximal
-clique the lower bound, and backtracking with color-symmetry breaking closes
-the gap. Enumeration of proper chi-colorings is complete and canonical
-(classes ordered by least contained vertex), which makes "up to permutation"
-deduplication trivial.
+Color classes are vertex bitmasks, tested against the bitset rows of
+``Graph``. Chromatic number is exact: DSATUR gives the upper bound, a greedy
+maximal clique the lower bound, and a DSATUR branch and bound closes the gap.
+It branches on the most saturated uncolored vertex, backtracks as soon as an
+uncolored vertex has no allowed color (forward checking), breaks color
+symmetry by opening colors in order, and colors the components of the
+uncolored vertices one at a time. Enumeration of proper chi-colorings is
+complete and canonical (classes ordered by least contained vertex), which
+makes "up to permutation" deduplication trivial. Equitability counts are
+popcounts of a row against a class mask.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .graphs import Graph, GraphError, edge_count_between, induced_subgraph
+from .graphs import Graph, GraphError, _bits, _reach, edge_count_between, induced_subgraph
 from .spectral import rayleigh_quotient
 
 __all__ = [
@@ -119,36 +124,71 @@ def dsatur(g: Graph) -> Coloring:
 
 
 def _can_color_with(g: Graph, k: int, clique: list[int]) -> bool:
-    """Backtracking k-colorability with symmetry breaking.
+    """DSATUR branch and bound: is the graph k-colorable?
 
-    A new color class may only be opened by the least-index uncolored vertex,
-    and the seed clique is pre-colored.
+    The seed clique is pre-colored and each color class is a vertex bitmask.
+    The uncolored vertices, also a bitmask, split into the components of the
+    graph they induce; each is colored on its own, since no edge joins two of
+    them. Every node branches on the vertex of its component with the fewest
+    allowed colors (ties: most uncolored neighbors, then lowest index) and
+    backtracks as soon as some vertex there has no allowed color (forward
+    checking). Symmetry breaking: a vertex may only open the next unopened
+    color.
     """
     if len(clique) > k:
         return False
-    assignment = [-1] * g.n
-    for i, v in enumerate(clique):
-        assignment[v] = i
-    order = sorted(
-        (v for v in range(g.n) if assignment[v] == -1),
-        key=lambda v: -g.degrees[v],
-    )
+    rows = g.rows
+    masks = [0] * k
+    # sat[v]: number of distinct colors among v's colored neighbors.
+    sat = [0] * g.n
+    uncolored = (1 << g.n) - 1
+    for color, v in enumerate(clique):
+        masks[color] = 1 << v
+        uncolored ^= 1 << v
+        for w in g.neighbors[v]:
+            sat[w] += 1
 
-    def rec(idx: int, used: int) -> bool:
-        if idx == len(order):
-            return True
-        v = order[idx]
-        forbidden = {assignment[w] for w in g.neighbors[v] if assignment[w] != -1}
+    def colorable(uncolored: int, used: int) -> bool:
+        while uncolored:
+            part = _reach(g, uncolored & -uncolored, uncolored)
+            if not branch(part, used):
+                return False
+            uncolored ^= part
+        return True
+
+    def branch(part: int, used: int) -> bool:
+        # Allowed colors of w: used - sat[w] open ones, plus a new one if
+        # used < k. So the fewest allowed is the highest sat.
+        best_sat, best_deg, v = -1, -1, -1
+        for w in _bits(part):
+            s = sat[w]
+            if s >= best_sat:
+                if s == k:
+                    return False
+                deg = (rows[w] & part).bit_count()
+                if s > best_sat or deg > best_deg:
+                    best_sat, best_deg, v = s, deg, w
+        row = rows[v]
+        bit = 1 << v
+        part ^= bit
         for color in range(min(used + 1, k)):
-            if color in forbidden:
+            mask = masks[color]
+            if row & mask:
                 continue
-            assignment[v] = color
-            if rec(idx + 1, max(used, color + 1)):
+            # Uncolored neighbors that see this color for the first time.
+            fresh = [w for w in _bits(row & part) if not rows[w] & mask]
+            for w in fresh:
+                sat[w] += 1
+            masks[color] = mask | bit
+            ok = colorable(part, used + (color == used))
+            masks[color] = mask
+            for w in fresh:
+                sat[w] -= 1
+            if ok:
                 return True
-            assignment[v] = -1
         return False
 
-    return rec(0, len(clique))
+    return colorable(uncolored, len(clique))
 
 
 def chromatic_number(g: Graph) -> int:
@@ -174,6 +214,7 @@ def enumerate_chi_colorings(g: Graph, chi: int) -> list[Coloring]:
 
     The canonical-first symmetry breaking (vertex v may open color c only if
     colors 0..c-1 are already open) enumerates exactly the canonical forms.
+    Vertex v may take a color whose class bitmask misses its row.
     """
     if g.n > ENUMERATION_CAP:
         raise GraphError(
@@ -181,38 +222,51 @@ def enumerate_chi_colorings(g: Graph, chi: int) -> list[Coloring]:
         )
     if chi != chromatic_number(g):
         raise GraphError(f"chi={chi} is not the chromatic number of the graph")
+    n, rows = g.n, g.rows
     results: list[Coloring] = []
-    assignment = [-1] * g.n
+    assignment = [-1] * n
+    masks = [0] * chi
 
     def rec(v: int, used: int) -> None:
-        if v == g.n:
-            if used == chi:
-                results.append(Coloring(tuple(assignment), chi))
+        if chi - used > n - v:  # too few vertices left to open every color
             return
-        forbidden = {assignment[w] for w in g.neighbors[v] if w < v}
+        if v == n:
+            results.append(Coloring(tuple(assignment), chi))
+            return
+        row = rows[v]
+        bit = 1 << v
         for color in range(min(used + 1, chi)):
-            if color in forbidden:
+            mask = masks[color]
+            if row & mask:
                 continue
             assignment[v] = color
-            rec(v + 1, max(used, color + 1))
-            assignment[v] = -1
+            masks[color] = mask | bit
+            rec(v + 1, used + (color == used))
+            masks[color] = mask
 
     rec(0, 0)
     return results
 
 
 def is_equitable_DinvA(g: Graph, c: Coloring) -> bool:
-    """Exact integer test: (k-1) * e(v, V_i) == deg v for every v not in V_i."""
-    if not is_proper(g, c):
-        raise GraphError("equitability is only defined for proper colorings")
-    classes = c.classes()
-    for v in range(g.n):
-        for i, cl in enumerate(classes):
-            e = edge_count_between(g, [v], cl)
-            if c.assignment[v] == i:
-                if e != 0:
-                    return False
-            elif (c.k - 1) * e != g.degrees[v]:
+    """Exact integer test: (k-1) * e(v, V_i) == deg v for every v not in V_i.
+
+    e(v, V_i) is the popcount of v's row against the bitmask of class i.
+    """
+    if len(c.assignment) != g.n:
+        raise GraphError(f"coloring of {len(c.assignment)} vertices, graph has {g.n}")
+    rows, own = g.rows, c.assignment
+    masks = [0] * c.k
+    for v, color in enumerate(own):
+        # Each monochromatic edge shows at its larger end.
+        if rows[v] & masks[color]:
+            raise GraphError("equitability is only defined for proper colorings")
+        masks[color] |= 1 << v
+    k1 = c.k - 1
+    for v, row in enumerate(rows):
+        deg, mine = g.degrees[v], own[v]
+        for i, mask in enumerate(masks):
+            if i != mine and k1 * (row & mask).bit_count() != deg:
                 return False
     return True
 

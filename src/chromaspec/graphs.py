@@ -103,39 +103,48 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return _from_rows(n, rows)
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _from_rows(n: int, rows: list[int]) -> Graph:
-    neighbors = tuple(
-        tuple(w for w in range(n) if (row >> w) & 1) for row in rows
-    )
+    neighbors = tuple(tuple(_bits(row)) for row in rows)
     degrees = tuple(row.bit_count() for row in rows)
     return Graph(n, tuple(rows), neighbors, degrees)
 
 
+def _reach(g: Graph, start: int, within: int = -1) -> int:
+    """Bitmask of the vertices reachable from ``start`` inside ``within``."""
+    reach = frontier = start
+    while frontier:
+        nxt = 0
+        for v in _bits(frontier):
+            nxt |= g.rows[v]
+        nxt &= within
+        frontier = nxt & ~reach
+        reach |= nxt
+    return reach
+
+
 def connected_components(g: Graph) -> list[list[int]]:
-    seen = 0
+    """Vertex lists of the components, ordered by their least vertex."""
+    rest = (1 << g.n) - 1
     comps = []
-    for s in range(g.n):
-        if (seen >> s) & 1:
-            continue
-        # bitset BFS
-        reach = 1 << s
-        frontier = reach
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= g.rows[v]
-            frontier = nxt & ~reach
-            reach |= nxt
-        seen |= reach
-        comps.append([v for v in range(g.n) if (reach >> v) & 1])
+    while rest:
+        reach = _reach(g, rest & -rest)
+        rest &= ~reach
+        comps.append(_bits(reach))
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    return _reach(g, 1) == (1 << g.n) - 1
 
 
 def _check_subset(g: Graph, u: frozenset[int] | set[int]) -> int:
@@ -154,13 +163,13 @@ def edge_count_between(g: Graph, u1: Iterable[int], u2: Iterable[int]) -> int:
     the set-of-edges definition.
     """
     s1, s2 = set(u1), set(u2)
-    _check_subset(g, s1)
-    _check_subset(g, s2)
-    return sum(
-        1
-        for v, w in g.edges()
-        if (v in s1 and w in s2) or (w in s1 and v in s2)
-    )
+    m1 = _check_subset(g, s1)
+    m2 = _check_subset(g, s2)
+    both = m1 & m2
+    # The ordered pairs count an edge with both ends in u1 & u2 twice.
+    pairs = sum((g.rows[v] & m2).bit_count() for v in s1)
+    inside = sum((g.rows[v] & both).bit_count() for v in _bits(both)) // 2
+    return pairs - inside
 
 
 def is_independent_set(g: Graph, u: Iterable[int]) -> bool:

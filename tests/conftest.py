@@ -64,6 +64,36 @@ def brute_canonical_colorings(g: Graph, k: int) -> set[tuple[int, ...]]:
     return out
 
 
+def brute_equitable_DinvA(g: Graph, assignment, k: int) -> bool:
+    """(k-1) * e(v, V_i) == deg v for every v and every class i not its own.
+
+    Neighbor counts per class, and the degrees, come from the edge list.
+    """
+    counts = [[0] * k for _ in range(g.n)]
+    for v, w in g.edges():
+        counts[v][assignment[w]] += 1
+        counts[w][assignment[v]] += 1
+    return all(
+        (k - 1) * counts[v][i] == sum(counts[v])
+        for v in range(g.n)
+        for i in range(k)
+        if i != assignment[v]
+    )
+
+
+def mycielskian(n: int, edges: list[tuple[int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """Mycielski's construction: chi grows by one, the clique number stays.
+
+    Vertex i gets a shadow n + i joined to the neighbors of i; the shadows are
+    joined to one new vertex 2n.
+    """
+    out = list(edges)
+    for i, j in edges:
+        out += [(n + i, j), (i, n + j)]
+    out += [(n + i, 2 * n) for i in range(n)]
+    return 2 * n + 1, out
+
+
 def brute_spectrum(g: Graph) -> np.ndarray:
     """Sorted eigenvalues of I - D^{-1} A via the generic dense eigensolver.
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -74,6 +75,17 @@ class TestReport:
         code, _ = run(capsys, "report", str(p))
         assert code == 2
         assert "connected" in run.err
+
+    def test_large_edgeless_header_rejected_quickly(self, capsys, tmp_path):
+        # Building the graph and testing connectivity walk set bits, so a
+        # header's n alone costs no O(n^2) scan.
+        p = tmp_path / "g.edges"
+        p.write_text("20000 0\n")
+        start = time.perf_counter()
+        code, _ = run(capsys, "report", str(p))
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert "connected graph required" in run.err
 
 
 class TestVerify:

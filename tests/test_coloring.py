@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,26 @@ from chromaspec.families import complete, complete_bipartite, g_ktd, petal, tura
 from chromaspec.graphs import GraphError, from_edge_list
 from chromaspec.spectral import largest_eigenvalue, spectrum, verify_eigenpair
 
-from conftest import brute_canonical_colorings, brute_chromatic, cycle, path, star
+from conftest import (
+    brute_canonical_colorings,
+    brute_chromatic,
+    brute_equitable_DinvA,
+    cycle,
+    mycielskian,
+    path,
+    star,
+)
+
+C5_EDGES = [(i, (i + 1) % 5) for i in range(5)]
+GROTZSCH = mycielskian(5, C5_EDGES)
+PETERSEN = (
+    10,
+    C5_EDGES
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, 5 + i) for i in range(5)],
+)
+# Hub 7 over the rim C_7.
+ODD_WHEEL_7 = (8, [(i, (i + 1) % 7) for i in range(7)] + [(7, i) for i in range(7)])
 
 
 def k4_minus_edge():
@@ -86,6 +106,39 @@ class TestChromaticNumber:
         assert dsatur(g).k >= 3
         assert len(greedy_clique(g)) <= 3
 
+    @pytest.mark.parametrize(
+        "n, edges, chi",
+        [
+            pytest.param(*GROTZSCH, 4, id="grotzsch"),
+            pytest.param(*mycielskian(*GROTZSCH), 5, id="mycielski-M5"),
+            pytest.param(*PETERSEN, 3, id="petersen"),
+            pytest.param(*ODD_WHEEL_7, 4, id="odd-wheel-W7"),
+            pytest.param(25, [(i, (i + 1) % 25) for i in range(25)], 3, id="C25"),
+        ],
+    )
+    def test_known_chi_above_greedy_clique(self, n, edges, chi):
+        g = from_edge_list(n, edges)
+        assert len(greedy_clique(g)) < chi
+        assert chromatic_number(g) == chi
+
+    def test_mycielski_m5_size(self):
+        n, edges = mycielskian(*GROTZSCH)
+        assert (n, len(edges)) == (23, 71)
+
+    def test_parts_apart_from_the_colored_vertices_are_solved_apart(self):
+        # The odd wheel W_21 beside K_6: the greedy clique is a rim triangle,
+        # and the rim saturates before K_6 does. Branching over both at once
+        # would refute K_6 once for each of the rim's many 4-colorings.
+        rim = 21
+        edges = [(0, i) for i in range(1, rim + 1)]
+        edges += [(i, i % rim + 1) for i in range(1, rim + 1)]
+        edges += [(rim + 1 + i, rim + 1 + j) for i in range(6) for j in range(i + 1, 6)]
+        g = from_edge_list(rim + 7, edges)
+        assert len(greedy_clique(g)) == 3
+        start = time.perf_counter()
+        assert chromatic_number(g) == 6
+        assert time.perf_counter() - start < 2.0
+
 
 class TestEnumeration:
     def test_complete_unique(self):
@@ -129,6 +182,15 @@ class TestEquitable:
     def test_improper_rejected(self):
         with pytest.raises(GraphError):
             is_equitable_DinvA(complete(2), Coloring((0, 0), 1))
+
+    def test_improper_rejected_even_where_equitability_fails_first(self):
+        # Vertex 0 already fails equitability; the edge (3, 4) is monochromatic.
+        with pytest.raises(GraphError):
+            is_equitable_DinvA(path(5), Coloring((0, 1, 2, 1, 1), 3))
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(GraphError):
+            is_equitable_DinvA(path(3), Coloring((0, 1), 2))
 
 
 class TestEquitableA:
@@ -302,3 +364,40 @@ def test_enumeration_matches_brute_force(g):
     assert got == brute_canonical_colorings(g, chi)
     for c in enumerate_chi_colorings(g, chi):
         assert is_proper(g, c) and c.k == chi
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=small_graphs())
+def test_equitability_matches_brute_force_on_every_chi_coloring(g):
+    chi = brute_chromatic(g)
+    for assignment in brute_canonical_colorings(g, chi):
+        assert is_equitable_DinvA(g, Coloring(assignment, chi)) == (
+            brute_equitable_DinvA(g, assignment, chi)
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=small_graphs(), data=st.data())
+def test_equitability_of_any_coloring(g, data):
+    raw = data.draw(st.lists(st.integers(0, g.n - 1), min_size=g.n, max_size=g.n))
+    relabel: dict[int, int] = {}
+    assignment = tuple(relabel.setdefault(x, len(relabel)) for x in raw)
+    c = Coloring(assignment, len(relabel))
+    if any(assignment[v] == assignment[w] for v, w in g.edges()):
+        with pytest.raises(GraphError):
+            is_equitable_DinvA(g, c)
+    else:
+        assert is_equitable_DinvA(g, c) == brute_equitable_DinvA(g, assignment, c.k)
+
+
+def test_chromatic_number_matches_brute_force_on_atlas():
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        a
+        for a in nx.graph_atlas_g()
+        if 1 <= a.number_of_nodes() <= 6 and nx.is_connected(a)
+    ]
+    assert len(graphs) == 143
+    for a in graphs:
+        g = from_edge_list(a.number_of_nodes(), list(a.edges()))
+        assert chromatic_number(g) == brute_chromatic(g), list(a.edges())

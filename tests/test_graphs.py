@@ -82,6 +82,12 @@ class TestEdgeCountBetween:
         g = complete(3)
         assert edge_count_between(g, [0, 1, 2], [0, 1, 2]) == 3
 
+    def test_out_of_range_vertex_rejected(self):
+        with pytest.raises(GraphError):
+            edge_count_between(complete(3), [0], [3])
+        with pytest.raises(GraphError):
+            edge_count_between(complete(3), [-1], [0])
+
 
 class TestIndependentSet:
     def test_bipartite_class(self):
@@ -177,3 +183,28 @@ def test_edge_list_round_trip_property(n, data):
     g = from_edge_list(n, edges)
     assert read_edge_list(write_edge_list(g)).rows == g.rows
     assert g.num_edges == len(edges)
+
+
+@given(
+    n=st.integers(1, 9),
+    kind=st.sampled_from(["overlapping", "disjoint", "identical"]),
+    data=st.data(),
+)
+def test_edge_count_between_matches_edge_scan(n, kind, data):
+    possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+    g = from_edge_list(n, edges)
+    u1 = data.draw(st.sets(st.integers(0, n - 1)))
+    if kind == "identical":
+        u2 = set(u1)
+    elif kind == "disjoint":
+        rest = sorted(set(range(n)) - u1)
+        u2 = data.draw(st.sets(st.sampled_from(rest))) if rest else set()
+    else:
+        u2 = data.draw(st.sets(st.integers(0, n - 1)))
+        if u1:
+            u2.add(data.draw(st.sampled_from(sorted(u1))))
+    expected = sum(
+        1 for v, w in g.edges() if (v in u1 and w in u2) or (w in u1 and v in u2)
+    )
+    assert edge_count_between(g, u1, u2) == expected
