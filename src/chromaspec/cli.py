@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import bounds, compose, families, search, verify
-from .graphs import Graph, GraphError, read_edge_list, to_dot, write_edge_list
+from .graphs import Graph, GraphError, read_edge_list, to_dot, to_json, write_edge_list
 
 USAGE_ERROR = 2
 
@@ -38,7 +38,7 @@ def _render_graph(g: Graph, fmt: str) -> str:
     if fmt == "dot":
         return to_dot(g)
     if fmt == "json":
-        return json.dumps({"n": g.n, "edges": [list(e) for e in g.edges()]}, sort_keys=True) + "\n"
+        return to_json(g) + "\n"
     raise GraphError(f"format {fmt!r} not supported for graphs")
 
 
@@ -95,10 +95,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    caps = {}
-    if args.max_n:
-        caps["random"] = args.max_n * 50
-    rows = verify.run_suites(names, seed=args.seed, caps=caps)
+    if args.max_n is not None and args.max_n < 1:
+        raise GraphError(f"verify needs --max-n >= 1, got {args.max_n}")
+    random = args.max_n * 50 if args.max_n else None
+    rows = verify.run_suites(names, seed=args.seed, random=random)
     width = max(len(name) for name, _, _ in rows)
     lines = []
     for name, ok, detail in rows:

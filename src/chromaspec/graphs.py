@@ -7,6 +7,7 @@ Graphs are immutable: composition operators always build new graphs.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -27,6 +28,7 @@ __all__ = [
     "read_edge_list",
     "write_edge_list",
     "to_dot",
+    "to_json",
 ]
 
 
@@ -252,3 +254,7 @@ def to_dot(g: Graph, name: str = "G") -> str:
     lines.extend(f"  {v} -- {w};" for v, w in g.edges())
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def to_json(g: Graph) -> str:
+    return json.dumps({"n": g.n, "edges": [list(e) for e in g.edges()]}, sort_keys=True)

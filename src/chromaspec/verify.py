@@ -1,18 +1,27 @@
-"""Named verification suites over family oracles and random corpora.
+"""The paper's claims as a table, checked over family oracles and seeded corpora.
 
-Each suite returns a list of (check name, passed, detail) rows; the CLI
-renders them as a table and exits nonzero if anything failed. The random
-corpora are reproducible from the seed.
+Each suite lists its claims: a row name, a fixed detail text, a list of
+labelled cases and a predicate. ``run_suites`` turns each claim into one
+(suite: row name, passed, detail) row, and the CLI exits nonzero if any row
+failed. A claim fails at its first case whose predicate is false, and its
+detail then ends with ``counterexample: <label>``: a graph as
+``chromaspec gen --format json`` prints it, or a tuple of parameters.
+
+The family grid and the seeded random graphs are built once per run; the
+``bounds`` corpus takes a prefix of the random graphs in the ``sharp`` one.
+Corpora are reproducible from the seed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import bounds, compose, families, spectral
+from . import bounds, compose, families
 from .certificates import g_ktd_certificates
 from .coloring import (
     Coloring,
@@ -20,12 +29,24 @@ from .coloring import (
     enumerate_chi_colorings,
     is_equitable_DinvA,
 )
-from .graphs import Graph, from_edge_list, is_connected
-from .spectral import largest_eigenvalue, multiplicity_of, spectrum, verify_eigenpair
+from .graphs import Graph, GraphError, from_edge_list, is_connected, to_json
+from .spectral import (
+    Spectrum,
+    largest_eigenvalue,
+    multiplicity_of,
+    spectrum,
+    verify_eigenpair,
+)
 
 __all__ = ["random_connected_graph", "SUITES", "run_suites"]
 
 Row = tuple[str, bool, str]
+
+TOL = 1e-8
+SHARP_RANDOM = 500  # random graphs in the sharp corpus unless `random` is given
+BOUNDS_RANDOM = 100  # ... and in the bounds corpus, a prefix of the same stream
+ONESUM_PAIRS = 200
+EDU_TRIALS = 100
 
 
 def random_connected_graph(rng: np.random.Generator, n_max: int = 10) -> Graph:
@@ -41,212 +62,246 @@ def random_connected_graph(rng: np.random.Generator, n_max: int = 10) -> Graph:
             return g
 
 
-def _family_grid() -> list[tuple[str, Graph, families.ExactSpectrum]]:
-    items: list[tuple[str, Graph, families.ExactSpectrum]] = []
+def _label(x: object) -> str:
+    if isinstance(x, Graph):
+        return to_json(x)
+    if isinstance(x, tuple):
+        return "(" + ", ".join(map(_label, x)) + ")"
+    return str(x)
+
+
+def _row(
+    suite: str, name: str, detail: str, cases: list[tuple[object, tuple]], holds: Callable
+) -> Row:
+    """The row of one claim; each case is (label, the predicate's arguments)."""
+    for label, args in cases:
+        if not holds(*args):
+            found = f"counterexample: {_label(label)}"
+            return f"{suite}: {name}", False, f"{detail}; {found}" if detail else found
+    return f"{suite}: {name}", True, detail
+
+
+def _family_grid() -> list[tuple[Graph, families.ExactSpectrum]]:
+    items: list[tuple[Graph, families.ExactSpectrum]] = []
     for n in range(2, 15):
-        items.append((f"K_{n}", families.complete(n), families.oracle_spectrum_complete(n)))
+        items.append((families.complete(n), families.oracle_spectrum_complete(n)))
     for a in range(1, 12):
         for b in range(1, 13 - a):
             items.append(
-                (
-                    f"K_{{{a},{b}}}",
-                    families.complete_bipartite(a, b),
-                    families.oracle_spectrum_bipartite(a, b),
-                )
+                (families.complete_bipartite(a, b), families.oracle_spectrum_bipartite(a, b))
             )
     for n in range(4, 13):
         for k in range(2, n + 1):
             if n % k == 0:
-                items.append(
-                    (f"T({n},{k})", families.turan(n, k), families.oracle_spectrum_turan(n, k))
-                )
+                items.append((families.turan(n, k), families.oracle_spectrum_turan(n, k)))
     for m in range(1, 7):
-        items.append((f"petal({m})", families.petal(m), families.oracle_spectrum_petal(m)))
+        items.append((families.petal(m), families.oracle_spectrum_petal(m)))
     for k in range(2, 6):
         for theta in range(2, 6):
             for d in range(0, k + 1):
                 try:
                     oracle = families.oracle_spectrum_g_ktd(k, theta, d)
-                except Exception:
+                except GraphError:
                     continue
-                items.append(
-                    (f"Gktd({k},{theta},{d})", families.g_ktd(k, theta, d), oracle)
-                )
+                items.append((families.g_ktd(k, theta, d), oracle))
     return items
 
 
-def _spectra_match(g: Graph, oracle: families.ExactSpectrum, tol: float = 1e-8) -> bool:
-    s = spectrum(g, tol)
-    got = list(s.groups)
+class _Corpora:
+    """The inputs that several suites of one run share, each built on first use."""
+
+    def __init__(self, seed: int, random: int | None) -> None:
+        self.seed = seed
+        self.random = random
+        self._rng = np.random.default_rng(seed)
+        self._graphs: list[Graph] = []
+
+    def random_graphs(self, default: int) -> list[Graph]:
+        """The first `random or default` graphs of the seeded random stream."""
+        count = self.random or default
+        while len(self._graphs) < count:
+            self._graphs.append(random_connected_graph(self._rng))
+        return self._graphs[:count]
+
+    @cached_property
+    def grid(self) -> list[tuple[Graph, families.ExactSpectrum]]:
+        return _family_grid()
+
+    @cached_property
+    def family_graphs(self) -> list[Graph]:
+        return [g for g, _ in self.grid if g.n <= 25]
+
+
+def _lambda_max(g: Graph) -> float:
+    return largest_eigenvalue(spectrum(g))[0]
+
+
+def _spectra_match(g: Graph, oracle: families.ExactSpectrum) -> bool:
+    got = list(spectrum(g, TOL).groups)
     want = oracle.sorted_groups()
-    if len(got) != len(want):
-        return False
-    return all(
-        abs(gv - float(wv)) <= tol and gm == wm
+    return len(got) == len(want) and all(
+        abs(gv - float(wv)) <= TOL and gm == wm
         for (gv, gm), (wv, wm) in zip(got, want)
     )
 
 
-def suite_families(seed: int, caps: dict) -> list[Row]:
-    rows: list[Row] = []
-    grid = _family_grid()
-    bad = [name for name, g, oracle in grid if not _spectra_match(g, oracle)]
-    rows.append(
-        (
-            "family spectra match exact oracles",
-            not bad,
-            f"{len(grid)} instances" + (f"; failed: {bad[:3]}" if bad else ""),
-        )
-    )
-
-    iso_ok = True
-    for k in range(2, 5):
-        for theta in range(2, k + 1):
-            g1 = families.g_ktd(k, theta, k)
-            g2 = families.g_ktd(theta, k, theta)
-            # v_j^i -> v_i^j
-            perm = {
-                (i - 1) * k + (j - 1): (j - 1) * theta + (i - 1)
-                for i in range(1, theta + 1)
-                for j in range(1, k + 1)
-            }
-            mapped = {tuple(sorted((perm[a], perm[b]))) for a, b in g1.edges()}
-            if mapped != set(g2.edges()):
-                iso_ok = False
-    rows.append(("g_ktd(k,t,k) isomorphic to g_ktd(t,k,t)", iso_ok, "index transpose map"))
-
-    chi_ok = True
-    unique_ok = True
-    equit_ok = True
-    for k in range(2, 5):
-        for theta in range(2, 5):
-            for d in range(0, k + 1):
-                if d == k and k < theta:
-                    continue
-                g = families.g_ktd(k, theta, d)
-                chi = chromatic_number(g)
-                if chi != theta:
-                    chi_ok = False
-                canon = Coloring(tuple(v // k for v in range(g.n)), theta)
-                if not is_equitable_DinvA(g, canon):
-                    equit_ok = False
-                if d < k and g.n <= 32:
-                    if len(enumerate_chi_colorings(g, theta)) != 1:
-                        unique_ok = False
-    rows.append(("g_ktd chromatic number equals theta", chi_ok, "grid k,theta<=4"))
-    rows.append(("g_ktd with d<k has a unique chi-coloring", unique_ok, ""))
-    rows.append(("g_ktd canonical coloring is equitable", equit_ok, ""))
-
-    cert_ok = True
-    for k in range(2, 6):
-        for theta in range(2, 6):
-            for d in range(1, k):
-                g = families.g_ktd(k, theta, d)
-                for lam, f in g_ktd_certificates(k, theta, d):
-                    if not verify_eigenpair(g, float(lam), f, 1e-9).valid:
-                        cert_ok = False
-    rows.append(("g_ktd eigenfunction certificates verify", cert_ok, "residual <= 1e-9"))
-
-    case_ok = True
-    for k in range(2, 6):
-        for theta in range(2, 6):
-            for d in range(1, k + 1):
-                if k == theta == d == 2 or (d == k and k < theta):
-                    continue
-                lam, mult, _case = families.g_ktd_lambda_max_case(k, theta, d)
-                got_lam, got_mult = largest_eigenvalue(spectrum(families.g_ktd(k, theta, d)))
-                if abs(got_lam - float(lam)) > 1e-8 or got_mult != mult:
-                    case_ok = False
-    rows.append(("g_ktd largest-eigenvalue case table", case_ok, "six corollary cases"))
-
-    split_ok = all(
-        abs(
-            largest_eigenvalue(spectrum(families.complete_split(t, chi)))[0]
-            - float(families.oracle_lambda_max_complete_split(t, chi))
-        )
-        <= 1e-8
-        for t in range(1, 9)
-        for chi in range(2, 6)
-    )
-    rows.append(("complete split lambda_max = 1 + t/(N-1)", split_ok, "t<=8, chi<=5"))
-    return rows
+def _transpose_isomorphic(k: int, theta: int) -> bool:
+    g1 = families.g_ktd(k, theta, k)
+    g2 = families.g_ktd(theta, k, theta)
+    # v_j^i -> v_i^j
+    perm = {
+        (i - 1) * k + (j - 1): (j - 1) * theta + (i - 1)
+        for i in range(1, theta + 1)
+        for j in range(1, k + 1)
+    }
+    return {tuple(sorted((perm[a], perm[b]))) for a, b in g1.edges()} == set(g2.edges())
 
 
-def _corpus(seed: int, count: int, n_max: int = 10) -> list[Graph]:
-    rng = np.random.default_rng(seed)
-    return [random_connected_graph(rng, n_max) for _ in range(count)]
+def _case_table_matches(g: Graph, k: int, theta: int, d: int) -> bool:
+    lam, mult, _case = families.g_ktd_lambda_max_case(k, theta, d)
+    got_lam, got_mult = largest_eigenvalue(spectrum(g))
+    return abs(got_lam - float(lam)) <= TOL and got_mult == mult
 
 
-def suite_sharp(seed: int, caps: dict) -> list[Row]:
-    rows: list[Row] = []
-    corpus = _corpus(seed, caps.get("random", 500))
-    corpus += [g for _, g, _ in _family_grid() if g.n <= 25]
+def _families(shared: _Corpora) -> list[tuple]:
+    grid = shared.grid
+    gktd = {
+        (k, theta, d): families.g_ktd(k, theta, d)
+        for k in range(2, 6)
+        for theta in range(2, 6)
+        for d in range(0, k + 1)
+        if not (d == k and k < theta)
+    }
+    small = [(g, (g, k, theta, d)) for (k, theta, d), g in gktd.items() if k <= 4 and theta <= 4]
+    splits = {
+        (t, chi): families.complete_split(t, chi) for t in range(1, 9) for chi in range(2, 6)
+    }
+    return [
+        ("family spectra match exact oracles", f"{len(grid)} instances",
+         [(g, (g, oracle)) for g, oracle in grid], _spectra_match),
+        ("g_ktd(k,t,k) isomorphic to g_ktd(t,k,t)", "index transpose map",
+         [((k, t), (k, t)) for k in range(2, 5) for t in range(2, k + 1)], _transpose_isomorphic),
+        ("g_ktd chromatic number equals theta", "grid k,theta<=4",
+         small, lambda g, k, theta, d: chromatic_number(g) == theta),
+        ("g_ktd with d<k has a unique chi-coloring", "",
+         small, lambda g, k, theta, d: d == k or g.n > 32
+         or len(enumerate_chi_colorings(g, theta)) == 1),
+        ("g_ktd canonical coloring is equitable", "",
+         small, lambda g, k, theta, d: is_equitable_DinvA(
+             g, Coloring(tuple(v // k for v in range(g.n)), theta))),
+        ("g_ktd eigenfunction certificates verify", "residual <= 1e-9",
+         [(g, (g, k, theta, d)) for (k, theta, d), g in gktd.items() if 0 < d < k],
+         lambda g, k, theta, d: all(
+             verify_eigenpair(g, float(lam), f, 1e-9).valid
+             for lam, f in g_ktd_certificates(k, theta, d))),
+        ("g_ktd largest-eigenvalue case table", "six corollary cases",
+         [(g, (g, *ktd)) for ktd, g in gktd.items() if ktd[2] and ktd != (2, 2, 2)],
+         _case_table_matches),
+        ("complete split lambda_max = 1 + t/(N-1)", "t<=8, chi<=5",
+         [(g, (g, t, chi)) for (t, chi), g in splits.items()],
+         lambda g, t, chi: abs(
+             _lambda_max(g) - float(families.oracle_lambda_max_complete_split(t, chi))
+         ) <= TOL),
+    ]
 
-    lower_ok = True
-    strict_ok = True
-    equit_ok = True
-    floor_ok = True
-    unique_ok = True
+
+class _Profile(NamedTuple):
+    g: Graph
+    chi: int
+    spec: Spectrum
+    lam: float
+
+
+def _sharp(shared: _Corpora) -> list[tuple]:
+    corpus = shared.random_graphs(SHARP_RANDOM) + shared.family_graphs
+    profiles = []
     for g in corpus:
         chi = chromatic_number(g)
-        if chi < 2:
-            continue
-        spec = spectrum(g)
-        lam, _ = largest_eigenvalue(spec)
-        bound = chi / (chi - 1)
-        if lam < bound - 1e-8:
-            lower_ok = False
-        n = g.n
-        complete = g.num_edges == n * (n - 1) // 2
-        bipartite = chi == 2
-        if not complete and not bipartite and lam < (n + 1) / (n - 1) - 1e-8:
-            strict_ok = False
-        if abs(lam - bound) <= 1e-8:
-            mult = multiplicity_of(spec, bound)
-            if mult < chi - 1:
-                floor_ok = False
-            colorings = enumerate_chi_colorings(g, chi)
-            if not all(is_equitable_DinvA(g, c) for c in colorings):
-                equit_ok = False
-            if mult == chi - 1 and len(colorings) != 1:
-                unique_ok = False
-    rows.append(("lambda_N >= chi/(chi-1) on corpus", lower_ok, f"{len(corpus)} graphs"))
-    rows.append(("non-complete non-bipartite lambda_N >= (N+1)/(N-1)", strict_ok, ""))
-    rows.append(("sharp graphs: all chi-colorings equitable", equit_ok, ""))
-    rows.append(("sharp graphs: multiplicity >= chi-1", floor_ok, ""))
-    rows.append(("sharp + multiplicity chi-1 implies unique coloring", unique_ok, ""))
-    return rows
+        if chi >= 2:
+            spec = spectrum(g)
+            profiles.append(_Profile(g, chi, spec, largest_eigenvalue(spec)[0]))
+    # (profile, multiplicity of chi/(chi-1), every chi-coloring) per sharp graph
+    sharp = [
+        (p, multiplicity_of(p.spec, p.chi / (p.chi - 1)), enumerate_chi_colorings(p.g, p.chi))
+        for p in profiles
+        if abs(p.lam - p.chi / (p.chi - 1)) <= TOL
+    ]
+    every = [(p.g, (p,)) for p in profiles]
+    each_sharp = [(s[0].g, s) for s in sharp]
+    return [
+        ("lambda_N >= chi/(chi-1) on corpus", f"{len(corpus)} graphs",
+         every, lambda p: p.lam >= p.chi / (p.chi - 1) - TOL),
+        ("non-complete non-bipartite lambda_N >= (N+1)/(N-1)", "",
+         every, lambda p: p.g.num_edges == p.g.n * (p.g.n - 1) // 2 or p.chi == 2
+         or p.lam >= (p.g.n + 1) / (p.g.n - 1) - TOL),
+        ("sharp graphs: all chi-colorings equitable", "",
+         each_sharp, lambda p, mult, colorings: all(
+             is_equitable_DinvA(p.g, c) for c in colorings)),
+        ("sharp graphs: multiplicity >= chi-1", "",
+         each_sharp, lambda p, mult, colorings: mult >= p.chi - 1),
+        ("sharp + multiplicity chi-1 implies unique coloring", "",
+         each_sharp, lambda p, mult, colorings: mult != p.chi - 1 or len(colorings) == 1),
+    ]
 
 
-def suite_onesum(seed: int, caps: dict) -> list[Row]:
-    rows: list[Row] = []
-    rng = np.random.default_rng(seed)
-    pairs = caps.get("pairs", 200)
+def _multiplicities_floor(s1: Spectrum, s2: Spectrum, s12: Spectrum) -> bool:
+    for value, m1 in s1.groups:
+        m2 = multiplicity_of(s2, value)
+        if m2 and multiplicity_of(s12, value) < m1 + m2 - 1:
+            return False
+    return True
 
-    interlace_ok = True
-    chi_ok = True
-    lower_ok = True
-    for _ in range(pairs):
+
+def _sharp_sum(p1: _Profile, p2: _Profile) -> bool:
+    bnd = p1.chi / (p1.chi - 1)
+    m1, m2 = multiplicity_of(p1.spec, bnd), multiplicity_of(p2.spec, bnd)
+    lam, mult = largest_eigenvalue(spectrum(compose.one_sum(p1.g, 0, p2.g, 0).result))
+    return abs(lam - bnd) <= TOL and mult == m1 + m2 - 1
+
+
+def _petal_law(g: Graph, m: int, n: int) -> bool:
+    lam, mult = largest_eigenvalue(spectrum(g))
+    return abs(lam - n / (n - 1)) <= TOL and mult == g.n - m
+
+
+def _mediant(a: int, b: int, c: int, d: int) -> bool:
+    mid = Fraction(a + b, c + d)
+    lo, hi = sorted([Fraction(a, c), Fraction(b, d)])
+    return lo <= mid <= hi and (mid == lo or mid == hi) == (Fraction(a, c) == Fraction(b, d))
+
+
+def _edu_interlacing(g1: Graph, g2: Graph) -> bool:
+    glued = compose.edge_disjoint_union(g1, g2).result
+    return _lambda_max(glued) <= max(_lambda_max(g1), _lambda_max(g2)) + TOL
+
+
+def _union_is_one_sum(g1: Graph, g2: Graph) -> bool:
+    # Lay both summands out as the 1-sum does; their union must be the 1-sum.
+    expected = compose.one_sum(g1, g1.n - 1, g2, 0)
+    emb1, emb2 = expected.embeddings
+    n = expected.result.n
+    a = from_edge_list(n, [(emb1[v], emb1[w]) for v, w in g1.edges()])
+    b = from_edge_list(n, [(emb2[v], emb2[w]) for v, w in g2.edges()])
+    return compose.edge_disjoint_union(a, b).result == expected.result
+
+
+def _onesum(shared: _Corpora) -> list[tuple]:
+    # One rng for the whole suite, drawn from in this order: pairs, mediant
+    # fractions, edge-disjoint overlays, shared-vertex pairs.
+    rng = np.random.default_rng(shared.seed)
+    pairs = []
+    for _ in range(ONESUM_PAIRS):
         g1 = random_connected_graph(rng)
         g2 = random_connected_graph(rng)
         x1 = int(rng.integers(g1.n))
         x2 = int(rng.integers(g2.n))
-        lam, bound, ok = compose.one_sum_lambda_max_check(g1, x1, g2, x2)
-        if not ok:
-            interlace_ok = False
         glued = compose.one_sum(g1, x1, g2, x2).result
-        if chromatic_number(glued) != max(chromatic_number(g1), chromatic_number(g2)):
-            chi_ok = False
-        s1, s2, s12 = spectrum(g1), spectrum(g2), spectrum(glued)
-        for value, m1 in s1.groups:
-            m2 = multiplicity_of(s2, value)
-            if m2 and multiplicity_of(s12, value) < m1 + m2 - 1:
-                lower_ok = False
-    rows.append(("1-sum interlacing lambda_max(sum) <= max", interlace_ok, f"{pairs} pairs"))
-    rows.append(("chi(1-sum) = max(chi_1, chi_2)", chi_ok, ""))
-    rows.append(("m_sum(lambda) >= m_1 + m_2 - 1 for common groups", lower_ok, ""))
+        pairs.append(
+            ((g1, x1, g2, x2), (g1, g2, glued, spectrum(g1), spectrum(g2), spectrum(glued)))
+        )
 
-    sharp_pool = [
+    pool = []
+    for g in [
         families.complete(3),
         families.complete(4),
         families.turan(6, 3),
@@ -254,157 +309,86 @@ def suite_onesum(seed: int, caps: dict) -> list[Row]:
         families.petal(2),
         families.petal(3),
         compose.one_sum(families.complete(3), 0, families.complete(3), 0).result,
-    ]
-    sharp_ok = True
-    for g1 in sharp_pool:
-        for g2 in sharp_pool:
-            chi1, chi2 = chromatic_number(g1), chromatic_number(g2)
-            if chi1 != chi2:
-                continue
-            bnd = chi1 / (chi1 - 1)
-            m1 = multiplicity_of(spectrum(g1), bnd)
-            m2 = multiplicity_of(spectrum(g2), bnd)
-            glued = compose.one_sum(g1, 0, g2, 0).result
-            s = spectrum(glued)
-            lam, mult = largest_eigenvalue(s)
-            if abs(lam - bnd) > 1e-8 or mult != m1 + m2 - 1:
-                sharp_ok = False
-    rows.append(("sharp (+) sharp with equal chi stays sharp, m1+m2-1", sharp_ok, ""))
+    ]:
+        spec = spectrum(g)
+        pool.append(_Profile(g, chromatic_number(g), spec, largest_eigenvalue(spec)[0]))
+    petals = {(m, n): families.generalized_petal(m, n) for n in (2, 3, 4) for m in range(1, 6)}
+    fractions = [tuple(int(rng.integers(1, 50)) for _ in range(4)) for _ in range(500)]
 
-    petal_ok = True
-    for n in (2, 3, 4):
-        for m in range(1, 6):
-            g = families.generalized_petal(m, n)
-            lam, mult = largest_eigenvalue(spectrum(g))
-            if abs(lam - n / (n - 1)) > 1e-8 or mult != g.n - m:
-                petal_ok = False
-    rows.append(("generalized petal law lambda = n/(n-1), mult = |V|-m", petal_ok, ""))
-
-    frac_ok = True
-    for _ in range(500):
-        a, b, c, d = (int(rng.integers(1, 50)) for _ in range(4))
-        mid = Fraction(a + b, c + d)
-        lo, hi = sorted([Fraction(a, c), Fraction(b, d)])
-        if not (lo <= mid <= hi):
-            frac_ok = False
-        if (mid == lo or mid == hi) != (Fraction(a, c) == Fraction(b, d)):
-            frac_ok = False
-    rows.append(("mediant lemma: min <= (a+b)/(c+d) <= max", frac_ok, "exact rationals"))
-
-    edu_ok = True
-    agree_ok = True
-    for _ in range(caps.get("edu", 100)):
-        n = int(rng.integers(4, 11))
-        g1 = random_connected_graph(rng, n)
+    overlays = []
+    for _ in range(EDU_TRIALS):
+        g1 = random_connected_graph(rng, int(rng.integers(4, 11)))
         # overlay a random edge-disjoint graph on the same labels
-        free = [
-            (i, j)
-            for i, j in combinations(range(g1.n), 2)
-            if not g1.has_edge(i, j)
-        ]
+        free = [(i, j) for i, j in combinations(range(g1.n), 2) if not g1.has_edge(i, j)]
         rng.shuffle(free)
-        g2_edges = free[: max(1, len(free) // 2)]
-        if not g2_edges:
-            continue
-        g2 = from_edge_list(g1.n, g2_edges)
-        if 0 in g2.degrees or not is_connected(g2):
-            continue
-        glued = compose.edge_disjoint_union(g1, g2)
-        lam, _ = largest_eigenvalue(spectrum(glued.result))
-        l1, _ = largest_eigenvalue(spectrum(g1))
-        l2, _ = largest_eigenvalue(spectrum(g2))
-        if lam > max(l1, l2) + 1e-8:
-            edu_ok = False
-    # single shared vertex: edge-disjoint union coincides with the 1-sum
+        if free:
+            g2 = from_edge_list(g1.n, free[: max(1, len(free) // 2)])
+            if is_connected(g2):
+                overlays.append(((g1, g2), (g1, g2)))
+    shared_vertex = []
     for _ in range(20):
         g1 = random_connected_graph(rng, 6)
         g2 = random_connected_graph(rng, 6)
-        shifted = from_edge_list(
-            g1.n + g2.n - 1,
-            [
-                (g1.n - 1 if v == 0 else g1.n - 1 + v, g1.n - 1 if w == 0 else g1.n - 1 + w)
-                for v, w in g2.edges()
-            ],
-        )
-        via_edu = compose.edge_disjoint_union(g1, shifted).result
-        via_sum = compose.one_sum(g1, g1.n - 1, g2, 0).result
-        if {tuple(sorted(e)) for e in via_edu.edges()} != {
-            tuple(sorted(_relabel_sum_edge(e, g1.n))) for e in via_sum.edges()
-        }:
-            agree_ok = False
-    rows.append(("edge-disjoint union interlacing", edu_ok, ""))
-    rows.append(("single shared vertex: union equals 1-sum", agree_ok, ""))
-    return rows
+        shared_vertex.append(((g1, g2), (g1, g2)))
+
+    return [
+        ("1-sum interlacing lambda_max(sum) <= max", f"{ONESUM_PAIRS} pairs",
+         pairs, lambda g1, g2, glued, s1, s2, s12: largest_eigenvalue(s12)[0]
+         <= max(largest_eigenvalue(s1)[0], largest_eigenvalue(s2)[0]) + TOL),
+        ("chi(1-sum) = max(chi_1, chi_2)", "",
+         pairs, lambda g1, g2, glued, s1, s2, s12: chromatic_number(glued)
+         == max(chromatic_number(g1), chromatic_number(g2))),
+        ("m_sum(lambda) >= m_1 + m_2 - 1 for common groups", "",
+         pairs, lambda g1, g2, glued, s1, s2, s12: _multiplicities_floor(s1, s2, s12)),
+        ("sharp (+) sharp with equal chi stays sharp, m1+m2-1", "",
+         [((p1.g, p2.g), (p1, p2)) for p1 in pool for p2 in pool if p1.chi == p2.chi],
+         _sharp_sum),
+        ("generalized petal law lambda = n/(n-1), mult = |V|-m", "",
+         [(g, (g, m, n)) for (m, n), g in petals.items()], _petal_law),
+        ("mediant lemma: min <= (a+b)/(c+d) <= max", "exact rationals",
+         [(f, f) for f in fractions], _mediant),
+        ("edge-disjoint union interlacing", "", overlays, _edu_interlacing),
+        ("single shared vertex: union equals 1-sum", "", shared_vertex, _union_is_one_sum),
+    ]
 
 
-def _relabel_sum_edge(edge: tuple[int, int], n1: int) -> tuple[int, int]:
-    # 1-sum layout: glue=0, then g1's other vertices, then g2's.
-    # map back to the shared-label layout used by the union check:
-    # glue -> n1-1, g1 vertex i (1..n1-1) -> i-1, g2 vertex -> unchanged.
-    def back(v: int) -> int:
-        if v == 0:
-            return n1 - 1
-        return v - 1 if v <= n1 - 1 else v
-    return back(edge[0]), back(edge[1])
+def _equal_classes_tight(g: Graph, k: int) -> bool:
+    classes = Coloring(tuple(v // (g.n // k) for v in range(g.n)), k)
+    return abs(bounds.upper_bound_equal_classes(g, classes) - _lambda_max(g)) <= TOL
 
 
-def suite_bounds(seed: int, caps: dict) -> list[Row]:
-    rows: list[Row] = []
-    corpus = _corpus(seed, caps.get("random", 100))
-    corpus += [g for _, g, _ in _family_grid() if g.n <= 25]
-
-    upper_ok = True
-    hoffman_ok = True
-    for g in corpus:
-        rep = bounds.full_report(g)
-        for _name, value, applicable, satisfied in rep.upper_bounds:
-            if applicable and not satisfied:
-                upper_ok = False
-        if rep.chi + 1e-8 < rep.hoffman:
-            hoffman_ok = False
-    rows.append(("all applicable upper bounds hold", upper_ok, f"{len(corpus)} graphs"))
-    rows.append(("Hoffman bound is a valid chi lower bound", hoffman_ok, ""))
-
-    turan_eq = all(
-        abs(
-            bounds.upper_bound_equal_classes(
-                families.turan(n, k),
-                Coloring(tuple(v // (n // k) for v in range(n)), k),
-            )
-            - largest_eigenvalue(spectrum(families.turan(n, k)))[0]
-        )
-        <= 1e-8
-        for n in range(4, 13)
-        for k in range(2, 5)
-        if n % k == 0
-    )
-    rows.append(("N/delta bound tight on Turan graphs", turan_eq, ""))
-
-    split_ok = all(
-        abs(
-            largest_eigenvalue(spectrum(families.complete_split(t, chi)))[0]
-            - float(families.oracle_lambda_max_complete_split(t, chi))
-        )
-        <= 1e-8
-        for t in range(1, 9)
-        for chi in range(2, 6)
-    )
-    rows.append(("complete split lambda_max formula", split_ok, "t<=8, chi<=5"))
-    return rows
+def _bounds(shared: _Corpora) -> list[tuple]:
+    corpus = shared.random_graphs(BOUNDS_RANDOM) + shared.family_graphs
+    reports = [(g, (bounds.full_report(g),)) for g in corpus]
+    turans = {
+        (n, k): families.turan(n, k) for n in range(4, 13) for k in range(2, 5) if n % k == 0
+    }
+    return [
+        ("all applicable upper bounds hold", f"{len(corpus)} graphs",
+         reports, lambda rep: all(
+             satisfied for _name, _value, applicable, satisfied in rep.upper_bounds
+             if applicable)),
+        ("Hoffman bound is a valid chi lower bound", "",
+         reports, lambda rep: not rep.chi + TOL < rep.hoffman),
+        ("N/delta bound tight on Turan graphs", "",
+         [(g, (g, k)) for (_n, k), g in turans.items()], _equal_classes_tight),
+    ]
 
 
+# Suite name -> builder of its claims, each (row name, detail, cases, predicate).
 SUITES = {
-    "families": suite_families,
-    "sharp": suite_sharp,
-    "onesum": suite_onesum,
-    "bounds": suite_bounds,
+    "families": _families,
+    "sharp": _sharp,
+    "onesum": _onesum,
+    "bounds": _bounds,
 }
 
 
-def run_suites(names: list[str], seed: int = 0, caps: dict | None = None) -> list[Row]:
-    caps = caps or {}
-    rows: list[Row] = []
-    for name in names:
-        for check, ok, detail in SUITES[name](seed, caps):
-            rows.append((f"{name}: {check}", ok, detail))
-    return rows
+def run_suites(names: list[str], seed: int = 0, random: int | None = None) -> list[Row]:
+    """One row per claim of the named suites, in table order.
+
+    `random` replaces the default number of seeded random graphs in the
+    `sharp` (500) and `bounds` (100) corpora.
+    """
+    shared = _Corpora(seed, random)
+    return [_row(name, *claim) for name in names for claim in SUITES[name](shared)]

@@ -98,6 +98,13 @@ class TestVerify:
         code, _ = run(capsys, "verify", "nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize("max_n", ["-1", "0"])
+    def test_max_n_below_one_usage_error(self, capsys, max_n):
+        code, out = run(capsys, "verify", "sharp", "--max-n", max_n)
+        assert code == 2
+        assert out == ""
+        assert "--max-n >= 1" in run.err
+
 
 class TestCompose:
     def test_onesum_bowtie(self, capsys):
