@@ -12,19 +12,18 @@ import numpy as np
 from .coloring import (
     ENUMERATION_CAP,
     Coloring,
-    chromatic_number,
-    dsatur,
+    chromatic_coloring,
     enumerate_chi_colorings,
     is_equitable_DinvA,
 )
 from .graphs import Graph, GraphError, classify_pair, is_connected, is_regular, min_degree
-from .spectral import DEFAULT_GROUP_TOL, largest_eigenvalue, multiplicity_of, spectrum
+from .spectral import DEFAULT_GROUP_TOL, largest_eigenvalue, spectrum
 
 __all__ = [
-    "SHARPNESS_TOL",
     "BoundReport",
     "chromatic_lower_bound_from_spectrum",
     "hoffman_bound",
+    "sharp_multiplicity",
     "twin_classes",
     "duplicate_classes",
     "multiplicity_bounds_from_structure",
@@ -33,9 +32,6 @@ __all__ = [
     "upper_bound_regular_equitable",
     "full_report",
 ]
-
-SHARPNESS_TOL = 1e-8
-
 
 def chromatic_lower_bound_from_spectrum(lam_n: float) -> float:
     """chi >= lam_N / (lam_N - 1), valid whenever lam_N > 1."""
@@ -53,6 +49,48 @@ def hoffman_bound(g: Graph) -> float:
         raise GraphError("Hoffman bound undefined for edgeless graphs")
     mu = np.linalg.eigvalsh(g.adjacency_matrix())
     return 1.0 - float(mu[-1]) / float(mu[0])
+
+
+def _psd_nullity(m: list[list[int]]) -> Optional[int]:
+    """Nullity of a symmetric integer matrix if it is PSD, else None.
+
+    ``m[i]`` holds row i up to the diagonal; the lists are consumed.
+    Fraction-free elimination (Bareiss 1968) on the diagonal, last index
+    first: pivot p turns each remaining entry into (m_pp m_ij - m_ip m_pj) /
+    prev, where prev is the previous nonzero pivot. The division is exact, as
+    every entry is a minor of the input, and each pivot has the sign of its
+    Schur complement entry. So a negative pivot proves the matrix is not PSD;
+    so does a zero pivot with a nonzero row, while a zero row adds one to the
+    nullity.
+    """
+    nullity, prev = 0, 1
+    while m:
+        top = m.pop()
+        piv = top.pop()
+        if piv < 0 or (piv == 0 and any(top)):
+            return None
+        if piv == 0:
+            nullity += 1
+            continue
+        # row i keeps columns 0..i, so zip stops each row at its diagonal
+        m = [[(piv * x - f * t) // prev for x, t in zip(row, top)] for row, f in zip(m, top)]
+        prev = piv
+    return nullity
+
+
+def sharp_multiplicity(g: Graph, chi: int) -> int:
+    """Multiplicity of lambda_N = chi/(chi-1), or 0 if lambda_N exceeds it.
+
+    The only sharpness decision, in integers. With c = chi/(chi-1), (chi-1)
+    D^(1/2) (cI - L) D^(1/2) = D + (chi-1)A =: M, so lambda_N <= c exactly
+    when M is positive semidefinite, and c has multiplicity nullity(M).
+    """
+    g.require_min_degree_one()
+    lower = [
+        [chi - 1 if row >> w & 1 else 0 for w in range(v)] + [d]
+        for v, (row, d) in enumerate(zip(g.rows, g.degrees))
+    ]
+    return _psd_nullity(lower) or 0
 
 
 def twin_classes(g: Graph) -> list[list[int]]:
@@ -184,45 +222,48 @@ class BoundReport:
 
 
 def full_report(g: Graph, tol: float = DEFAULT_GROUP_TOL) -> BoundReport:
-    """Run every applicable bound and equitability check on one graph."""
+    """Run every applicable bound and equitability check on one graph.
+
+    ``tol`` groups eigenvalues and is the upper bounds' slack; ``sharp`` is exact.
+    """
     if not is_connected(g):
         raise GraphError("connected graph required")
     notes: list[str] = []
-    chi = chromatic_number(g)
+    witness = chromatic_coloring(g)
+    chi = witness.k
     spec = spectrum(g, tol)
     lam, mult = largest_eigenvalue(spec)
     lower = chi / (chi - 1) if chi > 1 else float("nan")
     gap = lam - lower
-    sharp = chi > 1 and abs(gap) <= SHARPNESS_TOL
 
     if g.n <= ENUMERATION_CAP:
         colorings = enumerate_chi_colorings(g, chi)
         complete_enum = True
     else:
-        first = dsatur(g)
-        colorings = [first] if first.k == chi else []
+        colorings = [witness]
         complete_enum = False
-        notes.append(f"n > {ENUMERATION_CAP}: only a first-found coloring checked")
+        notes.append(f"n > {ENUMERATION_CAP}: only the chi-coloring that proves chi checked")
     equitable = tuple(is_equitable_DinvA(g, c) for c in colorings)
+    # Every chi-coloring of a sharp graph is equitable: the filter only saves work.
+    sharp_mult = sharp_multiplicity(g, chi) if all(equitable) else 0
+    sharp = sharp_mult > 0
+    mult = sharp_mult or mult
 
     uppers: list[tuple[str, Optional[float], bool, Optional[bool]]] = []
-    rep = colorings[0] if colorings else None
+    rep = colorings[0]
     for name, fn in [
         ("equal_classes_N_over_delta", upper_bound_equal_classes),
         ("general_scaled_multipartite", upper_bound_general),
         ("regular_equitable", upper_bound_regular_equitable),
     ]:
-        if rep is None:
-            uppers.append((name, None, False, None))
-            continue
         value = fn(g, rep)
         if value is None:
             uppers.append((name, None, False, None))
         else:
-            uppers.append((name, value, True, lam <= value + SHARPNESS_TOL))
+            uppers.append((name, value, True, lam <= value + tol))
 
     mult_bounds = None
-    if sharp and rep is not None:
+    if sharp:
         twins = twin_classes(g)
         twin_verts = {v for vs in twins for v in vs}
         dups = [

@@ -155,7 +155,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if not m:
         raise GraphError(f"unknown predicate {args.predicate!r}")
     mult = int(m.group(1)) if m.group(1) else None
-    hits = search.search_sharp(args.max_n, mult=mult, tol=args.tol)
+    hits = search.search_sharp(args.max_n, mult=mult)
     payload = {
         "max_n": args.max_n,
         "predicate": args.predicate,

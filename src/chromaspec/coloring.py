@@ -6,7 +6,8 @@ maximal clique the lower bound, and a DSATUR branch and bound closes the gap.
 It branches on the most saturated uncolored vertex, backtracks as soon as an
 uncolored vertex has no allowed color (forward checking), breaks color
 symmetry by opening colors in order, and colors the components of the
-uncolored vertices one at a time. Enumeration of proper chi-colorings is
+uncolored vertices one at a time. The chi-coloring that proves chi is kept as
+its witness (``chromatic_coloring``). Enumeration of proper chi-colorings is
 complete and canonical (classes ordered by least contained vertex), which
 makes "up to permutation" deduplication trivial. Equitability counts are
 popcounts of a row against a class mask.
@@ -21,7 +22,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .graphs import Graph, GraphError, _bits, _reach, edge_count_between, induced_subgraph
+from .graphs import (
+    CHROMATIC_CAP, Graph, GraphError, _bits, _reach, edge_count_between, induced_subgraph,
+)
 from .spectral import rayleigh_quotient
 
 __all__ = [
@@ -31,6 +34,7 @@ __all__ = [
     "is_proper",
     "greedy_clique",
     "dsatur",
+    "chromatic_coloring",
     "chromatic_number",
     "enumerate_chi_colorings",
     "is_equitable_DinvA",
@@ -42,7 +46,6 @@ __all__ = [
     "restricted_eigenvalue_prediction",
 ]
 
-CHROMATIC_CAP = 64
 ENUMERATION_CAP = 32
 
 
@@ -123,8 +126,8 @@ def dsatur(g: Graph) -> Coloring:
     return Coloring(tuple(assignment), max(assignment) + 1).canonical()
 
 
-def _can_color_with(g: Graph, k: int, clique: list[int]) -> bool:
-    """DSATUR branch and bound: is the graph k-colorable?
+def _can_color_with(g: Graph, k: int, clique: list[int]) -> Optional[list[int]]:
+    """DSATUR branch and bound: a k-coloring of the graph, or None if it has none.
 
     The seed clique is pre-colored and each color class is a vertex bitmask.
     The uncolored vertices, also a bitmask, split into the components of the
@@ -133,17 +136,20 @@ def _can_color_with(g: Graph, k: int, clique: list[int]) -> bool:
     allowed colors (ties: most uncolored neighbors, then lowest index) and
     backtracks as soon as some vertex there has no allowed color (forward
     checking). Symmetry breaking: a vertex may only open the next unopened
-    color.
+    color. On success each vertex's last color written is its color in the
+    branch that succeeded, since nothing is written after it.
     """
     if len(clique) > k:
-        return False
+        return None
     rows = g.rows
     masks = [0] * k
+    assignment = [-1] * g.n
     # sat[v]: number of distinct colors among v's colored neighbors.
     sat = [0] * g.n
     uncolored = (1 << g.n) - 1
     for color, v in enumerate(clique):
         masks[color] = 1 << v
+        assignment[v] = color
         uncolored ^= 1 << v
         for w in g.neighbors[v]:
             sat[w] += 1
@@ -180,6 +186,7 @@ def _can_color_with(g: Graph, k: int, clique: list[int]) -> bool:
             for w in fresh:
                 sat[w] += 1
             masks[color] = mask | bit
+            assignment[v] = color
             ok = colorable(part, used + (color == used))
             masks[color] = mask
             for w in fresh:
@@ -188,25 +195,30 @@ def _can_color_with(g: Graph, k: int, clique: list[int]) -> bool:
                 return True
         return False
 
-    return colorable(uncolored, len(clique))
+    return assignment if colorable(uncolored, len(clique)) else None
 
 
-def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number via branch and bound; hard cap on size."""
+def chromatic_coloring(g: Graph) -> Coloring:
+    """A chi-coloring, the witness of the exact chromatic number: DSATUR's
+    coloring when it uses chi colors, else the branch and bound's."""
     if g.n > CHROMATIC_CAP:
         raise GraphError(
             f"chromatic_number supports n <= {CHROMATIC_CAP}, got {g.n}"
         )
     if g.num_edges == 0:
-        return 1
-    upper = dsatur(g).k
+        return Coloring((0,) * g.n, 1)
+    upper = dsatur(g)
     clique = greedy_clique(g)
-    k = max(len(clique), 2)
-    while k < upper:
-        if _can_color_with(g, k, clique):
-            return k
-        k += 1
+    for k in range(max(len(clique), 2), upper.k):
+        assignment = _can_color_with(g, k, clique)
+        if assignment is not None:
+            return Coloring(tuple(assignment), k).canonical()
     return upper
+
+
+def chromatic_number(g: Graph) -> int:
+    """Exact chromatic number via branch and bound; hard cap on size."""
+    return chromatic_coloring(g).k
 
 
 def enumerate_chi_colorings(g: Graph, chi: int) -> list[Coloring]:

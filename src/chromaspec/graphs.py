@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+# Largest n with a computed chromatic number, so also the largest edge-list header.
+CHROMATIC_CAP = 64
+
+
 class GraphError(ValueError):
     """Raised for malformed graph construction or out-of-contract queries."""
 
@@ -236,6 +240,8 @@ def read_edge_list(text: str) -> Graph:
         n, m = map(int, lines[0].split())
     except ValueError as exc:
         raise GraphError(f"bad header line {lines[0]!r}") from exc
+    if n > CHROMATIC_CAP:
+        raise GraphError(f"edge-list header has n = {n}, above the cap {CHROMATIC_CAP}")
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges = []

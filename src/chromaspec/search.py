@@ -28,8 +28,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .bounds import SHARPNESS_TOL
-from .coloring import chromatic_number
+from .bounds import sharp_multiplicity
+from .coloring import chromatic_coloring, is_equitable_DinvA
 from .graphs import Graph, GraphError, from_edge_list
 from .spectral import largest_eigenvalue, spectrum
 
@@ -208,15 +208,13 @@ def connected_classes(max_n: int) -> Iterator[tuple[int, list[int]]]:
         yield n, level
 
 
-def search_sharp(
-    max_n: int,
-    mult: int | None = None,
-    tol: float = SHARPNESS_TOL,
-) -> list[SearchHit]:
+def search_sharp(max_n: int, mult: int | None = None) -> list[SearchHit]:
     """All connected graphs with n <= max_n attaining lambda_N = chi/(chi-1).
 
     With ``mult`` set, only hits whose top-eigenvalue multiplicity equals it
     are kept. One hit per isomorphism class, sorted by (n, canonical mask).
+    Every chi-coloring of a sharp graph is equitable, so a class whose
+    chi-coloring witness is not is skipped before the exact test.
     """
     if max_n > SEARCH_CAP:
         raise GraphError(f"search supports max_n <= {SEARCH_CAP}, got {max_n}")
@@ -228,13 +226,12 @@ def search_sharp(
             continue
         for cmask in classes:
             g = graph_from_mask(n, cmask)
-            chi = chromatic_number(g)
-            if chi < 2:
+            witness = chromatic_coloring(g)
+            if not is_equitable_DinvA(g, witness):
                 continue
-            lam, m = largest_eigenvalue(spectrum(g))
-            if abs(lam - chi / (chi - 1)) > tol:
+            m = sharp_multiplicity(g, witness.k)
+            if not m or (mult is not None and m != mult):
                 continue
-            if mult is not None and m != mult:
-                continue
-            hits.append(SearchHit(n, cmask, tuple(g.edges()), chi, lam, m))
+            lam = largest_eigenvalue(spectrum(g))[0]
+            hits.append(SearchHit(n, cmask, tuple(g.edges()), witness.k, lam, m))
     return hits

@@ -208,7 +208,6 @@ def _families(shared: _Corpora) -> list[tuple]:
 class _Profile(NamedTuple):
     g: Graph
     chi: int
-    spec: Spectrum
     lam: float
 
 
@@ -218,13 +217,13 @@ def _sharp(shared: _Corpora) -> list[tuple]:
     for g in corpus:
         chi = chromatic_number(g)
         if chi >= 2:
-            spec = spectrum(g)
-            profiles.append(_Profile(g, chi, spec, largest_eigenvalue(spec)[0]))
-    # (profile, multiplicity of chi/(chi-1), every chi-coloring) per sharp graph
+            profiles.append(_Profile(g, chi, _lambda_max(g)))
+    # (profile, multiplicity of chi/(chi-1), every chi-coloring) per sharp
+    # graph; no equitability filter, so the equitability row below checks it
     sharp = [
-        (p, multiplicity_of(p.spec, p.chi / (p.chi - 1)), enumerate_chi_colorings(p.g, p.chi))
+        (p, mult, enumerate_chi_colorings(p.g, p.chi))
         for p in profiles
-        if abs(p.lam - p.chi / (p.chi - 1)) <= TOL
+        if (mult := bounds.sharp_multiplicity(p.g, p.chi))
     ]
     every = [(p.g, (p,)) for p in profiles]
     each_sharp = [(s[0].g, s) for s in sharp]
@@ -252,16 +251,14 @@ def _multiplicities_floor(s1: Spectrum, s2: Spectrum, s12: Spectrum) -> bool:
     return True
 
 
-def _sharp_sum(p1: _Profile, p2: _Profile) -> bool:
-    bnd = p1.chi / (p1.chi - 1)
-    m1, m2 = multiplicity_of(p1.spec, bnd), multiplicity_of(p2.spec, bnd)
-    lam, mult = largest_eigenvalue(spectrum(compose.one_sum(p1.g, 0, p2.g, 0).result))
-    return abs(lam - bnd) <= TOL and mult == m1 + m2 - 1
+def _sharp_sum(g1: Graph, m1: int, g2: Graph, m2: int, chi: int) -> bool:
+    glued = compose.one_sum(g1, 0, g2, 0).result
+    return m1 >= 1 and m2 >= 1 and bounds.sharp_multiplicity(glued, chi) == m1 + m2 - 1
 
 
 def _petal_law(g: Graph, m: int, n: int) -> bool:
-    lam, mult = largest_eigenvalue(spectrum(g))
-    return abs(lam - n / (n - 1)) <= TOL and mult == g.n - m
+    # lambda_N = n/(n-1) with multiplicity |V| - m: the sharpness test at chi = n
+    return bounds.sharp_multiplicity(g, n) == g.n - m
 
 
 def _mediant(a: int, b: int, c: int, d: int) -> bool:
@@ -300,7 +297,7 @@ def _onesum(shared: _Corpora) -> list[tuple]:
             ((g1, x1, g2, x2), (g1, g2, glued, spectrum(g1), spectrum(g2), spectrum(glued)))
         )
 
-    pool = []
+    pool = []  # (graph, chi, multiplicity of chi/(chi-1))
     for g in [
         families.complete(3),
         families.complete(4),
@@ -310,8 +307,8 @@ def _onesum(shared: _Corpora) -> list[tuple]:
         families.petal(3),
         compose.one_sum(families.complete(3), 0, families.complete(3), 0).result,
     ]:
-        spec = spectrum(g)
-        pool.append(_Profile(g, chromatic_number(g), spec, largest_eigenvalue(spec)[0]))
+        chi = chromatic_number(g)
+        pool.append((g, chi, bounds.sharp_multiplicity(g, chi)))
     petals = {(m, n): families.generalized_petal(m, n) for n in (2, 3, 4) for m in range(1, 6)}
     fractions = [tuple(int(rng.integers(1, 50)) for _ in range(4)) for _ in range(500)]
 
@@ -341,7 +338,8 @@ def _onesum(shared: _Corpora) -> list[tuple]:
         ("m_sum(lambda) >= m_1 + m_2 - 1 for common groups", "",
          pairs, lambda g1, g2, glued, s1, s2, s12: _multiplicities_floor(s1, s2, s12)),
         ("sharp (+) sharp with equal chi stays sharp, m1+m2-1", "",
-         [((p1.g, p2.g), (p1, p2)) for p1 in pool for p2 in pool if p1.chi == p2.chi],
+         [((g1, g2), (g1, m1, g2, m2, chi1))
+          for g1, chi1, m1 in pool for g2, chi2, m2 in pool if chi1 == chi2],
          _sharp_sum),
         ("generalized petal law lambda = n/(n-1), mult = |V|-m", "",
          [(g, (g, m, n)) for (m, n), g in petals.items()], _petal_law),

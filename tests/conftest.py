@@ -6,7 +6,10 @@ enumeration code so that tests compare two independent computations.
 
 from __future__ import annotations
 
-from itertools import product
+import json
+from fractions import Fraction
+from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +95,56 @@ def mycielskian(n: int, edges: list[tuple[int, int]]) -> tuple[int, list[tuple[i
         out += [(n + i, j), (i, n + j)]
     out += [(n + i, 2 * n) for i in range(n)]
     return 2 * n + 1, out
+
+
+def chi_pool() -> list[tuple[Graph, int]]:
+    """The benchmark's G(n, 1/2) graphs (33 <= n <= 38) with their stored chi.
+
+    Each chi was proved once and checked against a max clique and a witness
+    coloring when the pool was made; the file is only read here.
+    """
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "chi_pool.json"
+    out = []
+    for item in json.loads(path.read_text())["graphs"]:
+        n, rows = item["n"], [int(r, 16) for r in item["rows"]]
+        edges = [(v, w) for v, w in combinations(range(n), 2) if rows[v] >> w & 1]
+        out.append((from_edge_list(n, edges), item["chi"]))
+    return out
+
+
+def brute_psd_nullity(m: list[list[int]]) -> int | None:
+    """Nullity of a symmetric matrix if it is PSD, else None, from definitions.
+
+    PSD iff every principal minor is >= 0; nullity is n minus the rank. Both
+    come from Fraction row reduction, not from the library's elimination.
+    """
+
+    def reduce(rows: list[list[Fraction]]) -> tuple[Fraction, int]:
+        """(determinant, rank) by Gaussian elimination with row swaps."""
+        rows = [list(r) for r in rows]
+        det, rank = Fraction(1), 0
+        for col in range(len(rows[0]) if rows else 0):
+            pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+            if pivot is None:
+                det = Fraction(0)
+                continue
+            if pivot != rank:
+                rows[rank], rows[pivot] = rows[pivot], rows[rank]
+                det = -det
+            det *= rows[rank][col]
+            for i in range(len(rows)):
+                if i != rank and rows[i][col]:
+                    f = rows[i][col] / rows[rank][col]
+                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+            rank += 1
+        return det, rank
+
+    n = len(m)
+    for size in range(1, n + 1):
+        for idx in combinations(range(n), size):
+            if reduce([[Fraction(m[i][j]) for j in idx] for i in idx])[0] < 0:
+                return None
+    return n - reduce([[Fraction(x) for x in row] for row in m])[1]
 
 
 def brute_spectrum(g: Graph) -> np.ndarray:

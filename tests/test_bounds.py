@@ -1,7 +1,9 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chromaspec.bounds import (
     BoundReport,
@@ -9,7 +11,9 @@ from chromaspec.bounds import (
     duplicate_classes,
     full_report,
     hoffman_bound,
+    _psd_nullity,
     multiplicity_bounds_from_structure,
+    sharp_multiplicity,
     twin_classes,
     upper_bound_equal_classes,
     upper_bound_general,
@@ -26,8 +30,9 @@ from chromaspec.families import (
 )
 from chromaspec.graphs import GraphError, from_edge_list
 from chromaspec.spectral import largest_eigenvalue, multiplicity_of, spectrum
+from chromaspec.verify import _family_grid
 
-from conftest import cycle
+from conftest import brute_psd_nullity, chi_pool, cycle
 
 
 def canonical_coloring(g, sizes):
@@ -241,3 +246,59 @@ class TestFullReport:
             for _, value, applicable, satisfied in rep.upper_bounds:
                 if applicable:
                     assert satisfied == (rep.lambda_max <= value + 1e-8)
+
+    def test_checks_the_witness_above_the_cap(self):
+        for g, chi in chi_pool():
+            rep = full_report(g)
+            assert rep.chi == chi and not rep.colorings_complete
+            assert len(rep.equitable) == 1
+            general = {name: (app, sat) for name, _, app, sat in rep.upper_bounds}
+            assert general["general_scaled_multipartite"] == (True, True)
+
+
+class TestSharpMultiplicity:
+    def test_matches_exact_family_oracles(self):
+        grid = [(g, oracle) for g, oracle in _family_grid() if g.n <= 25]
+        sharp = 0
+        for g, oracle in grid:
+            chi = chromatic_number(g)
+            top, mult = oracle.lambda_max()
+            want = mult if top == Fraction(chi, chi - 1) else 0
+            assert sharp_multiplicity(g, chi) == want, (g.n, list(g.edges()))
+            sharp += want > 0
+        assert 0 < sharp < len(grid)
+        assert sharp_multiplicity(g_ktd(2, 5, 1), 5) == 0
+
+    def test_isolated_vertex_rejected(self):
+        with pytest.raises(GraphError, match="degree 0"):
+            sharp_multiplicity(from_edge_list(3, [(0, 1)]), 2)
+
+    @pytest.mark.parametrize(
+        "m, want",
+        [
+            ([[0, 1], [1, 0]], None),  # zero diagonal, nonzero off-diagonal
+            ([[1, 2], [2, 1]], None),  # negative second pivot
+            ([[1, 1], [1, 1]], 1),
+            ([[2, -1], [-1, 2]], 0),
+            ([[0, 0], [0, 0]], 2),
+            ([[0, 0, 0], [0, 1, 1], [0, 1, 1]], 2),
+        ],
+    )
+    def test_elimination_cases(self, m, want):
+        assert _psd_nullity([row[: i + 1] for i, row in enumerate(m)]) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_elimination_matches_definitions(self, data):
+        n = data.draw(st.integers(1, 5))
+        # B^T B is PSD with the nullity of B; adding a symmetric part breaks it
+        # sometimes, so both answers occur.
+        b = [data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)) for _ in range(n)]
+        m = [[sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        if data.draw(st.booleans()):
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            shift = data.draw(st.integers(-3, 3))
+            m[i][j] += shift
+            if i != j:
+                m[j][i] += shift
+        assert _psd_nullity([row[: i + 1] for i, row in enumerate(m)]) == brute_psd_nullity(m)

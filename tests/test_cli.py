@@ -77,15 +77,28 @@ class TestReport:
         assert "connected" in run.err
 
     def test_large_edgeless_header_rejected_quickly(self, capsys, tmp_path):
-        # Building the graph and testing connectivity walk set bits, so a
-        # header's n alone costs no O(n^2) scan.
+        # The header's n is checked against the cap before any row is built.
         p = tmp_path / "g.edges"
         p.write_text("20000 0\n")
         start = time.perf_counter()
         code, _ = run(capsys, "report", str(p))
         assert time.perf_counter() - start < 2.0
         assert code == 2
-        assert "connected graph required" in run.err
+        assert "above the cap 64" in run.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "FILE"], ["compose", "join", "FILE", "K_1", "--format", "edgelist"]],
+    ids=["gen", "compose-join"],
+)
+def test_oversized_header_exits_2_before_building(capsys, tmp_path, argv):
+    p = tmp_path / "g.edges"
+    p.write_text("100000 0\n")
+    start = time.perf_counter()
+    code, _ = run(capsys, *(str(p) if a == "FILE" else a for a in argv))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "above the cap 64" in run.err
 
 
 class TestVerify:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from chromaspec.coloring import (
     CHROMATIC_CAP,
     Coloring,
+    chromatic_coloring,
     chromatic_number,
     class_indicator_pm,
     dsatur,
@@ -29,6 +30,7 @@ from conftest import (
     brute_canonical_colorings,
     brute_chromatic,
     brute_equitable_DinvA,
+    chi_pool,
     cycle,
     mycielskian,
     path,
@@ -400,4 +402,16 @@ def test_chromatic_number_matches_brute_force_on_atlas():
     assert len(graphs) == 143
     for a in graphs:
         g = from_edge_list(a.number_of_nodes(), list(a.edges()))
-        assert chromatic_number(g) == brute_chromatic(g), list(a.edges())
+        chi = brute_chromatic(g)
+        assert chromatic_number(g) == chi, list(a.edges())
+        witness = chromatic_coloring(g)
+        assert is_proper(g, witness) and witness.k == chi, list(a.edges())
+
+
+def test_chromatic_coloring_on_chi_pool():
+    # Above the enumeration cap; the stored chi is the benchmark's oracle.
+    pool = chi_pool()
+    assert len(pool) == 48
+    for g, chi in pool:
+        witness = chromatic_coloring(g)
+        assert is_proper(g, witness) and witness.k == chi

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,6 +60,13 @@ class TestConnectivity:
 
     def test_single_vertex_connected(self):
         assert is_connected(from_edge_list(1, []))
+
+    def test_large_edgeless_graph_in_linear_time(self):
+        # Building rows and finding components walk set bits: no O(n^2) scan.
+        start = time.perf_counter()
+        g = from_edge_list(20000, [])
+        assert not is_connected(g) and len(connected_components(g)) == 20000
+        assert time.perf_counter() - start < 2.0
 
     def test_components_partition(self):
         g = from_edge_list(5, [(0, 1), (2, 3)])
@@ -167,6 +176,11 @@ class TestEdgeListFormat:
     def test_empty(self):
         with pytest.raises(GraphError):
             read_edge_list("")
+
+    def test_header_n_capped(self):
+        assert read_edge_list("64 0\n").n == 64
+        with pytest.raises(GraphError, match="above the cap 64"):
+            read_edge_list("65 0\n")
 
     def test_to_dot(self):
         text = to_dot(from_edge_list(2, [(0, 1)]))
