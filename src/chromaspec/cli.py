@@ -13,7 +13,9 @@ import sys
 from pathlib import Path
 
 from . import bounds, compose, families, search, verify
-from .graphs import Graph, GraphError, read_edge_list, to_dot, to_json, write_edge_list
+from .graphs import (
+    CHROMATIC_CAP, Graph, GraphError, read_edge_list, to_dot, to_json, write_edge_list,
+)
 
 USAGE_ERROR = 2
 
@@ -86,10 +88,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if args.format not in ("json", "text"):
+        raise GraphError(f"format {args.format!r} not supported for reports")
     g = _load_graph(args.spec)
     rep = bounds.full_report(g, tol=args.tol)
-    fmt = args.format if args.format in ("json", "text") else "json"
-    _emit(_render_report(rep, fmt), args.out)
+    _emit(_render_report(rep, args.format), args.out)
     return 0
 
 
@@ -113,7 +116,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _parse_compose_input(token: str) -> list[Graph]:
     m = re.fullmatch(r"(\d+)x(.+)", token)
     if m:
-        return [_load_graph(m.group(2)) for _ in range(int(m.group(1)))]
+        copies = int(m.group(1))
+        if copies > CHROMATIC_CAP:
+            raise GraphError(f"{token!r} asks for {copies} copies, above the cap {CHROMATIC_CAP}")
+        return [_load_graph(m.group(2)) for _ in range(copies)]
     return [_load_graph(token)]
 
 
@@ -145,8 +151,7 @@ def cmd_compose(args: argparse.Namespace) -> int:
         _emit(_render_graph(result, args.format), args.out)
     else:
         rep = bounds.full_report(result, tol=args.tol)
-        fmt = "text" if args.format == "text" else "json"
-        _emit(_render_report(rep, fmt), args.out)
+        _emit(_render_report(rep, args.format), args.out)
     return 0
 
 

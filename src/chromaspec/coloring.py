@@ -227,13 +227,18 @@ def enumerate_chi_colorings(g: Graph, chi: int) -> list[Coloring]:
     The canonical-first symmetry breaking (vertex v may open color c only if
     colors 0..c-1 are already open) enumerates exactly the canonical forms.
     Vertex v may take a color whose class bitmask misses its row.
+
+    ``chi`` must be the chromatic number: the graph has no (chi-1)-coloring,
+    and the enumeration finds a chi-coloring.
     """
     if g.n > ENUMERATION_CAP:
         raise GraphError(
             f"enumerate_chi_colorings supports n <= {ENUMERATION_CAP}, got {g.n}"
         )
-    if chi != chromatic_number(g):
-        raise GraphError(f"chi={chi} is not the chromatic number of the graph")
+    wrong_chi = f"chi={chi} is not the chromatic number of the graph"
+    clique = greedy_clique(g)
+    if len(clique) > chi or _can_color_with(g, chi - 1, clique) is not None:
+        raise GraphError(wrong_chi)
     n, rows = g.n, g.rows
     results: list[Coloring] = []
     assignment = [-1] * n
@@ -257,6 +262,8 @@ def enumerate_chi_colorings(g: Graph, chi: int) -> list[Coloring]:
             masks[color] = mask
 
     rec(0, 0)
+    if not results:
+        raise GraphError(wrong_chi)
     return results
 
 

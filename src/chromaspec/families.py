@@ -12,10 +12,11 @@ contract (tests rely on them):
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, GraphError, from_edge_list
+from .graphs import CHROMATIC_CAP, Graph, GraphError, from_edge_list
 
 __all__ = [
     "ExactSpectrum",
@@ -258,30 +259,33 @@ FAMILY_SYNTAX = (
 )
 
 
-def parse_family(spec: str) -> Graph:
-    """Parse a family spec string like 'K_5', 'T(9,3)', or 'Gktd(2,5,1)'."""
-    import re
+# (pattern, generator, vertex count from the pattern's integers) per spec form
+_SPECS = [
+    (r"K_\{(\d+),(\d+)\}", complete_bipartite, lambda a, b: a + b),
+    (r"K_(\d+)", complete, lambda n: n),
+    (r"T\((\d+),(\d+)\)", turan, lambda n, k: n),
+    (r"petal\((\d+)\)", petal, lambda m: 2 * m + 1),
+    (r"gpetal\((\d+),(\d+)\)", generalized_petal, lambda m, n: 1 + m * (n - 1)),
+    (r"Gktd\((\d+),(\d+),(\d+)\)", g_ktd, lambda k, theta, d: k * theta),
+    (r"split\((\d+),(\d+)\)", complete_split, lambda t, chi: t + chi - 1),
+]
 
+
+def parse_family(spec: str) -> Graph:
+    """Parse a family spec string like 'K_5', 'T(9,3)', or 'Gktd(2,5,1)'.
+
+    A spec whose graph has more than ``CHROMATIC_CAP`` vertices is rejected
+    before any edge is listed; the generators themselves take any size.
+    """
     spec = spec.strip()
-    m = re.fullmatch(r"K_\{(\d+),(\d+)\}", spec)
-    if m:
-        return complete_bipartite(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"K_(\d+)", spec)
-    if m:
-        return complete(int(m.group(1)))
-    m = re.fullmatch(r"T\((\d+),(\d+)\)", spec)
-    if m:
-        return turan(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"petal\((\d+)\)", spec)
-    if m:
-        return petal(int(m.group(1)))
-    m = re.fullmatch(r"gpetal\((\d+),(\d+)\)", spec)
-    if m:
-        return generalized_petal(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"Gktd\((\d+),(\d+),(\d+)\)", spec)
-    if m:
-        return g_ktd(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-    m = re.fullmatch(r"split\((\d+),(\d+)\)", spec)
-    if m:
-        return complete_split(int(m.group(1)), int(m.group(2)))
+    for pattern, make, order in _SPECS:
+        m = re.fullmatch(pattern, spec)
+        if m:
+            args = [int(x) for x in m.groups()]
+            n = order(*args)
+            if n > CHROMATIC_CAP:
+                raise GraphError(
+                    f"family spec {spec!r} has n = {n}, above the cap {CHROMATIC_CAP}"
+                )
+            return make(*args)
     raise GraphError(f"unrecognized family spec {spec!r}; expected {FAMILY_SYNTAX}")

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 
 from .bounds import sharp_multiplicity
 from .coloring import chromatic_coloring, is_equitable_DinvA
-from .graphs import Graph, GraphError, from_edge_list
+from .graphs import Graph, GraphError, _from_rows
 from .spectral import largest_eigenvalue, spectrum
 
 __all__ = [
@@ -71,7 +71,7 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
-    return from_edge_list(n, [p for e, p in enumerate(_pairs(n)) if (mask >> e) & 1])
+    return _from_rows(n, _rows_from_mask(n, mask))
 
 
 def _rows_from_mask(n: int, mask: int) -> list[int]:

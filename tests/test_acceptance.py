@@ -1,15 +1,20 @@
 """Acceptance suite: one test per acceptance criterion, numbered 1-11.
 
-Each test is self-contained and states its tolerance explicitly. The random
+Where a criterion's graphs and predicate are a claim of the ``verify`` table,
+the test reads that claim's cases and predicate from the table, checks that
+the cases cover the criterion's instances, and runs every case. Checks that
+no claim makes are written out here, each with its tolerance. The random
 corpora are seeded so every run checks the identical set of graphs.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 import pytest
 
+from chromaspec import verify
 from chromaspec.bounds import (
     duplicate_classes,
     twin_classes,
@@ -26,25 +31,14 @@ from chromaspec.coloring import (
     is_equitable_DinvA,
     pair_pm,
 )
-from chromaspec.compose import (
-    edge_disjoint_union,
-    glue_eigenbasis,
-    one_sum,
-    one_sum_lambda_max_check,
-)
+from chromaspec.compose import edge_disjoint_union, glue_eigenbasis, one_sum
 from chromaspec.families import (
     complete,
     complete_bipartite,
     complete_split,
     g_ktd,
     g_ktd_lambda_max_case,
-    generalized_petal,
     oracle_lambda_max_complete_split,
-    oracle_spectrum_bipartite,
-    oracle_spectrum_complete,
-    oracle_spectrum_g_ktd,
-    oracle_spectrum_petal,
-    oracle_spectrum_turan,
     petal,
     turan,
 )
@@ -57,105 +51,86 @@ from chromaspec.spectral import (
     spectrum,
     verify_eigenpair,
 )
-from chromaspec.verify import random_connected_graph
 
 from conftest import bowtie
 
 VALUE_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
 
+Claim = tuple[list[tuple[object, tuple]], Callable[..., bool]]
 
-def family_instances() -> list[tuple[str, Graph]]:
-    """Every family instance named by the acceptance grid."""
-    out: list[tuple[str, Graph]] = []
-    out += [(f"K_{n}", complete(n)) for n in range(2, 13)]
-    out += [
-        (f"K_{{{a},{b}}}", complete_bipartite(a, b))
-        for a in range(1, 12)
-        for b in range(1, 12 - a + 1)
-        if a + b <= 12 and a + b >= 2
-    ]
-    out += [
-        (f"T({n},{k})", turan(n, k))
-        for n in range(2, 13)
-        for k in range(2, n + 1)
-        if n % k == 0
-    ]
-    out += [(f"petal({m})", petal(m)) for m in range(1, 7)]
+
+def claims(suite: str, corpora: verify._Corpora) -> dict[str, Claim]:
+    """One suite of the verify claim table: row name -> (cases, predicate)."""
+    table = verify.SUITES[suite](corpora)
+    return {name: (cases, holds) for name, _detail, cases, holds in table}
+
+
+def assert_claim(claim: Claim) -> None:
+    """Every case holds; a case is (label, the predicate's arguments)."""
+    cases, holds = claim
+    assert cases
+    for label, args in cases:
+        assert holds(*args), label
+
+
+def parameters(claim: Claim) -> set[tuple]:
+    """The family parameters of each case, whose arguments are (graph, *params)."""
+    return {tuple(args[1:]) for _, args in claim[0]}
+
+
+def family_instances() -> list[Graph]:
+    """Every K_n, K_{a,b}, T(N,k) and petal instance named by the acceptance grid."""
+    out = [complete(n) for n in range(2, 13)]
+    out += [complete_bipartite(a, b) for a in range(1, 12) for b in range(1, 13 - a)]
+    out += [turan(n, k) for n in range(2, 13) for k in range(2, n + 1) if n % k == 0]
+    out += [petal(m) for m in range(1, 7)]
     return out
 
 
-def assert_spectrum_matches(g: Graph, oracle, label: str) -> None:
-    got = spectrum(g).groups
-    expected = oracle.sorted_groups()
-    assert len(got) == len(expected), label
-    for (gv, gm), (ev, em) in zip(got, expected):
-        assert abs(gv - float(ev)) <= VALUE_TOL, label
-        assert gm == em, label
+@pytest.fixture(scope="module")
+def family_claims():
+    return claims("families", verify._Corpora(0, None))
 
 
 @pytest.fixture(scope="module")
-def random_corpus():
-    rng = np.random.default_rng(20260823)
-    return [random_connected_graph(rng, n_max=10) for _ in range(500)]
+def corpus():
+    """The 500 seeded random graphs, and the sharp claims over them plus the families."""
+    corpora = verify._Corpora(20260823, None)
+    return corpora.random_graphs(500), claims("sharp", corpora)
 
 
-def test_criterion_01_family_spectra():
-    oracles = {
-        "K": oracle_spectrum_complete,
-        "Kab": oracle_spectrum_bipartite,
-        "T": oracle_spectrum_turan,
-        "petal": oracle_spectrum_petal,
+def test_criterion_01_family_spectra(family_claims):
+    claim = family_claims["family spectra match exact oracles"]
+    assert set(family_instances()) <= {g for g, _ in claim[0]}
+    assert_claim(claim)
+
+
+def test_criterion_02_g_ktd_spectra(family_claims):
+    claim = family_claims["family spectra match exact oracles"]
+    instances = [
+        g_ktd(k, theta, d)
+        for k in range(2, 6)
+        for theta in range(2, 6)
+        for d in range(1, k + 1)
+        if d < k or (k >= theta and k * theta > 4)
+    ]
+    assert len(instances) == 4 * (1 + 2 + 3 + 4) + 9  # d < k grid plus the d = k cases
+    assert set(instances) <= {g for g, _ in claim[0]}
+    assert_claim(claim)
+
+
+def test_criterion_03_case_table(family_claims):
+    claim = family_claims["g_ktd largest-eigenvalue case table"]
+    assert parameters(claim) == {
+        (k, theta, d)
+        for k in range(2, 6)
+        for theta in range(2, 6)
+        for d in range(1, k + 1)
+        if (k, theta, d) != (2, 2, 2) and not d == k < theta
     }
-    for n in range(2, 13):
-        assert_spectrum_matches(complete(n), oracles["K"](n), f"K_{n}")
-    for a in range(1, 12):
-        for b in range(a, 12 - a + 1):
-            assert_spectrum_matches(
-                complete_bipartite(a, b), oracles["Kab"](a, b), f"K_{{{a},{b}}}"
-            )
-    for n in range(4, 13):
-        for k in range(2, n):
-            if n % k == 0:
-                assert_spectrum_matches(turan(n, k), oracles["T"](n, k), f"T({n},{k})")
-    for m in range(1, 7):
-        assert_spectrum_matches(petal(m), oracles["petal"](m), f"petal({m})")
-
-
-def test_criterion_02_g_ktd_spectra():
-    checked = 0
-    for k in range(2, 6):
-        for theta in range(2, 6):
-            for d in range(1, k):
-                assert_spectrum_matches(
-                    g_ktd(k, theta, d),
-                    oracle_spectrum_g_ktd(k, theta, d),
-                    f"Gktd({k},{theta},{d})",
-                )
-                checked += 1
-            if k >= theta and k * theta > 4:
-                assert_spectrum_matches(
-                    g_ktd(k, theta, k),
-                    oracle_spectrum_g_ktd(k, theta, k),
-                    f"Gktd({k},{theta},{k})",
-                )
-                checked += 1
-    assert checked == 4 * (1 + 2 + 3 + 4) + 9  # d < k grid plus the d = k cases
-
-
-def test_criterion_03_case_table():
-    seen_cases = set()
-    for k in range(2, 6):
-        for theta in range(2, 6):
-            for d in range(1, k + 1):
-                if k == theta == d == 2 or (d == k and k < theta):
-                    continue
-                lam, mult, case = g_ktd_lambda_max_case(k, theta, d)
-                measured, m = largest_eigenvalue(spectrum(g_ktd(k, theta, d)))
-                label = f"Gktd({k},{theta},{d})"
-                assert abs(measured - float(lam)) <= VALUE_TOL, label
-                assert m == mult, label
-                seen_cases.add(case)
+    assert_claim(claim)
+    assert {g_ktd_lambda_max_case(*ktd)[2] for ktd in parameters(claim)} == {1, 2, 3, 4, 5, 6}
     # the case-5 counterexample: lambda_max exceeds chi/(chi-1)
     lam, mult, case = g_ktd_lambda_max_case(2, 5, 1)
     assert (lam, mult, case) == (Fraction(3, 2), 1, 5)
@@ -164,66 +139,45 @@ def test_criterion_03_case_table():
     assert chi == 5 and lam > Fraction(chi, chi - 1) == Fraction(5, 4)
     measured, _ = largest_eigenvalue(spectrum(g))
     assert abs(measured - 1.5) <= VALUE_TOL
-    assert seen_cases == {1, 2, 3, 4, 5, 6}
 
 
-def test_criterion_04_lower_bound_universality(random_corpus):
-    graphs = [g for _, g in family_instances()] + random_corpus
-    assert len(random_corpus) == 500
-    for g in graphs:
-        chi = chromatic_number(g)
-        if chi < 2:
-            continue
-        lam, _ = largest_eigenvalue(spectrum(g))
-        assert lam >= chi / (chi - 1) - VALUE_TOL
-        is_complete = g.num_edges == g.n * (g.n - 1) // 2
-        if not is_complete and chi >= 3 and g.n >= 2:
-            assert lam >= (g.n + 1) / (g.n - 1) - VALUE_TOL
+def test_criterion_04_lower_bound_universality(corpus):
+    random_graphs, sharp = corpus
+    assert len(random_graphs) == 500
+    claim = sharp["lambda_N >= chi/(chi-1) on corpus"]
+    assert set(family_instances() + random_graphs) <= {p.g for _, (p,) in claim[0]}
+    assert_claim(claim)
+    assert_claim(sharp["non-complete non-bipartite lambda_N >= (N+1)/(N-1)"])
 
 
-def test_criterion_05_equitable_necessity(random_corpus):
-    checked = 0
-    for g in [g for _, g in family_instances()] + random_corpus:
-        chi = chromatic_number(g)
-        if chi < 2:
-            continue
-        lam, _ = largest_eigenvalue(spectrum(g))
-        if abs(lam - chi / (chi - 1)) > VALUE_TOL:
-            continue
-        for c in enumerate_chi_colorings(g, chi):
-            assert is_equitable_DinvA(g, c)
-            checked += 1
-    assert checked > 100  # the corpus must actually contain sharp graphs
+def test_criterion_05_equitable_necessity(corpus):
+    _, sharp = corpus
+    claim = sharp["sharp graphs: all chi-colorings equitable"]
+    assert_claim(claim)
+    # the corpus must actually contain sharp graphs
+    assert sum(len(colorings) for _, (_p, _m, colorings) in claim[0]) > 100
+    # The float test |lambda_N - chi/(chi-1)| <= 1e-8 picks the same sharp
+    # graphs, with the same multiplicities, as the table's exact decision.
+    exact = {p: mult for _, (p, mult, _colorings) in claim[0]}
+    for _, (p,) in sharp["lambda_N >= chi/(chi-1) on corpus"][0]:
+        lam, mult = largest_eigenvalue(spectrum(p.g))
+        float_sharp = abs(lam - p.chi / (p.chi - 1)) <= VALUE_TOL
+        assert (mult if float_sharp else 0) == exact.get(p, 0), p.g
 
 
-def test_criterion_06_multiplicity_floor(random_corpus):
-    for g in [g for _, g in family_instances()] + random_corpus:
-        chi = chromatic_number(g)
-        if chi < 2:
-            continue
-        s = spectrum(g)
-        lam, mult = largest_eigenvalue(s)
-        if abs(lam - chi / (chi - 1)) > VALUE_TOL:
-            continue
-        assert mult >= chi - 1
-        if mult == chi - 1:
-            assert len(enumerate_chi_colorings(g, chi)) == 1
+def test_criterion_06_multiplicity_floor(corpus):
+    _, sharp = corpus
+    assert_claim(sharp["sharp graphs: multiplicity >= chi-1"])
+    assert_claim(sharp["sharp + multiplicity chi-1 implies unique coloring"])
 
 
 def test_criterion_07_one_sum_calculus():
+    onesum = claims("onesum", verify._Corpora(7, None))
     # (a) interlacing and (b) chromatic number over 200 seeded random pairs
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        g1 = random_connected_graph(rng, n_max=10)
-        g2 = random_connected_graph(rng, n_max=10)
-        x1 = int(rng.integers(g1.n))
-        x2 = int(rng.integers(g2.n))
-        lam, bound, ok = one_sum_lambda_max_check(g1, x1, g2, x2)
-        assert ok and lam <= bound + VALUE_TOL
-        glued = one_sum(g1, x1, g2, x2).result
-        assert chromatic_number(glued) == max(
-            chromatic_number(g1), chromatic_number(g2)
-        )
+    interlacing = onesum["1-sum interlacing lambda_max(sum) <= max"]
+    assert len(interlacing[0]) == 200
+    assert_claim(interlacing)
+    assert_claim(onesum["chi(1-sum) = max(chi_1, chi_2)"])
 
     # (c) sharp + sharp with equal chi stays sharp with multiplicity m1+m2-1
     pools = {
@@ -243,20 +197,9 @@ def test_criterion_07_one_sum_calculus():
             assert mult == m1 + m2 - 1
 
     # (d) generalized petal law
-    for n in (2, 3, 4):
-        for m in range(1, 6):
-            g = generalized_petal(m, n)
-            lam, mult = largest_eigenvalue(spectrum(g))
-            assert abs(lam - n / (n - 1)) <= VALUE_TOL
-            assert mult == g.n - m  # m(n-1) - m + 1 with |V| = m(n-1) + 1
-
-    # (e) 2-clique-sum fixtures
-    c4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    k4_minus_e = from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    lam_c4, _ = largest_eigenvalue(spectrum(c4))
-    lam_k4e, _ = largest_eigenvalue(spectrum(k4_minus_e))
-    assert abs(lam_c4 - 2.0) <= 1e-10
-    assert abs(lam_k4e - 5 / 3) <= 1e-10
+    petal_law = onesum["generalized petal law lambda = n/(n-1), mult = |V|-m"]
+    assert parameters(petal_law) == {(m, n) for n in (2, 3, 4) for m in range(1, 6)}
+    assert_claim(petal_law)
 
 
 def test_criterion_08_edge_disjoint_union():
@@ -264,7 +207,7 @@ def test_criterion_08_edge_disjoint_union():
     done = 0
     while done < 100:
         n = int(rng.integers(4, 11))
-        g1 = random_connected_graph(rng, n_max=n)
+        g1 = verify.random_connected_graph(rng, n_max=n)
         if g1.n != n:
             g1 = from_edge_list(n, list(g1.edges()))  # pad to the shared space
         forbidden = set(g1.edges())
@@ -307,7 +250,7 @@ def test_criterion_08_edge_disjoint_union():
         assert write_edge_list(overlay.result) == write_edge_list(expected.result)
 
 
-def test_criterion_09_eigenfunction_certificates():
+def test_criterion_09_eigenfunction_certificates(family_claims):
     # f_ij on equitable colorings at k/(k-1)
     equitable_cases = [
         (turan(9, 3), [[0, 1, 2], [3, 4, 5], [6, 7, 8]]),
@@ -336,14 +279,13 @@ def test_criterion_09_eigenfunction_certificates():
             assert verify_eigenpair(g, 1.0, pair_pm(g, v, w), tol=RESIDUAL_TOL).valid
 
     # the six g_ktd certificate families
-    for k in range(2, 6):
-        for theta in range(2, 6):
-            for d in range(1, k):
-                g = g_ktd(k, theta, d)
-                certs = g_ktd_certificates(k, theta, d)
-                assert len(certs) == k * theta - 1
-                for lam, f in certs:
-                    assert verify_eigenpair(g, float(lam), f, tol=RESIDUAL_TOL).valid
+    certificates = family_claims["g_ktd eigenfunction certificates verify"]
+    assert parameters(certificates) == {
+        (k, theta, d) for k in range(2, 6) for theta in range(2, 6) for d in range(1, k)
+    }
+    for k, theta, d in parameters(certificates):
+        assert len(g_ktd_certificates(k, theta, d)) == k * theta - 1
+    assert_claim(certificates)
 
     # glued eigenbases on 1-sums
     def top_basis(g, lam):
@@ -363,7 +305,7 @@ def test_criterion_09_eigenfunction_certificates():
             assert verify_eigenpair(glued, lam, f, tol=RESIDUAL_TOL).valid
 
 
-def test_criterion_10_upper_bounds(random_corpus):
+def test_criterion_10_upper_bounds(family_claims, corpus):
     # N/delta with equality on Turan graphs
     for n in range(4, 13):
         for k in range(2, n):
@@ -378,15 +320,12 @@ def test_criterion_10_upper_bounds(random_corpus):
             lam, _ = largest_eigenvalue(spectrum(g))
             assert bound is not None and abs(lam - bound) <= VALUE_TOL
 
-    # general bound on family instances and the random corpus
+    # general bound on the corpus of criterion 4: the families and the random graphs
     regular_equitable_seen = 0
-    for g in [g for _, g in family_instances()] + random_corpus:
-        chi = chromatic_number(g)
-        if chi < 2:
-            continue
-        colorings = enumerate_chi_colorings(g, chi)
+    for _, (p,) in corpus[1]["lambda_N >= chi/(chi-1) on corpus"][0]:
+        g, lam = p.g, p.lam
+        colorings = enumerate_chi_colorings(g, p.chi)
         c = colorings[0]
-        lam, _ = largest_eigenvalue(spectrum(g))
         assert lam <= upper_bound_general(g, c) + VALUE_TOL
         eq = upper_bound_equal_classes(g, c)
         if eq is not None:
@@ -400,13 +339,11 @@ def test_criterion_10_upper_bounds(random_corpus):
     assert regular_equitable_seen > 0
 
     # complete split formula
-    for t in range(1, 9):
-        for chi in range(2, 6):
-            g = complete_split(t, chi)
-            lam, _ = largest_eigenvalue(spectrum(g))
-            expected = float(oracle_lambda_max_complete_split(t, chi))
-            assert abs(lam - expected) <= VALUE_TOL
-            assert abs(expected - (1 + t / (g.n - 1))) <= VALUE_TOL
+    split = family_claims["complete split lambda_max = 1 + t/(N-1)"]
+    assert parameters(split) == {(t, chi) for t in range(1, 9) for chi in range(2, 6)}
+    for _, (g, t, chi) in split[0]:
+        assert oracle_lambda_max_complete_split(t, chi) == 1 + Fraction(t, g.n - 1)
+    assert_claim(split)
 
 
 def test_criterion_11_search_ground_truth():

@@ -69,6 +69,12 @@ class TestReport:
         assert code == 0
         assert "sharp = True" in out and "chi = 4" in out
 
+    @pytest.mark.parametrize("fmt", ["dot", "edgelist"])
+    def test_graph_only_format_rejected(self, capsys, fmt):
+        code, out = run(capsys, "report", "K_4", "--format", fmt)
+        assert code == 2 and out == ""
+        assert "not supported for reports" in run.err
+
     def test_disconnected_input_rejected(self, capsys, tmp_path):
         p = tmp_path / "g.edges"
         p.write_text("4 2\n0 1\n2 3\n")
@@ -99,6 +105,28 @@ def test_oversized_header_exits_2_before_building(capsys, tmp_path, argv):
     code, _ = run(capsys, *(str(p) if a == "FILE" else a for a in argv))
     assert time.perf_counter() - start < 1.0
     assert code == 2 and "above the cap 64" in run.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "K_100000"],
+        ["report", "gpetal(100000,2)"],
+        ["gen", "Gktd(1000,1000,1)"],
+        ["compose", "join", "K_1", "100000xK_1", "--format", "edgelist"],
+    ],
+    ids=["complete", "gpetal", "gktd", "compose-copies"],
+)
+def test_oversized_spec_exits_2_before_building(capsys, argv):
+    start = time.perf_counter()
+    code, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "above the cap 64" in run.err
+
+
+def test_spec_at_the_cap_is_built(capsys):
+    code, out = run(capsys, "gen", "K_64")
+    assert code == 0 and json.loads(out)["n"] == 64
 
 
 class TestVerify:

@@ -160,6 +160,14 @@ class TestEnumeration:
         with pytest.raises(GraphError):
             enumerate_chi_colorings(complete(3), 2)
 
+    # too small with no larger clique (no coloring is found), and too large
+    @pytest.mark.parametrize(
+        "g,chi", [(cycle(5), 2), (cycle(5), 4), (complete(3), 4)], ids=["C5-2", "C5-4", "K3-4"]
+    )
+    def test_chi_below_or_above_rejected(self, g, chi):
+        with pytest.raises(GraphError, match="not the chromatic number"):
+            enumerate_chi_colorings(g, chi)
+
 
 class TestEquitable:
     def test_turan_canonical(self):

@@ -273,6 +273,24 @@ class TestParseFamily:
     def test_round_trip(self, spec, expected):
         assert parse_family(spec).rows == expected.rows
 
+    # Each spec form at its largest n within the cap, and one past it.
+    @pytest.mark.parametrize(
+        "within,beyond",
+        [
+            ("K_64", "K_65"),
+            ("K_{32,32}", "K_{32,33}"),
+            ("T(64,4)", "T(65,5)"),
+            ("petal(31)", "petal(32)"),
+            ("gpetal(63,2)", "gpetal(32,3)"),
+            ("Gktd(8,8,1)", "Gktd(5,13,1)"),
+            ("split(60,5)", "split(60,6)"),
+        ],
+    )
+    def test_vertex_cap(self, within, beyond):
+        assert parse_family(within).n in (63, 64)
+        with pytest.raises(GraphError, match="n = 65, above the cap 64"):
+            parse_family(beyond)
+
     def test_malformed(self):
         for bad in ("K5", "petal", "T(9;3)", "frob(2)"):
             with pytest.raises(GraphError):
