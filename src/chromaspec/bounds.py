@@ -264,14 +264,9 @@ def full_report(g: Graph, tol: float = DEFAULT_GROUP_TOL) -> BoundReport:
 
     mult_bounds = None
     if sharp:
-        twins = twin_classes(g)
-        twin_verts = {v for vs in twins for v in vs}
-        dups = [
-            [v for v in vs if v not in twin_verts]
-            for vs in duplicate_classes(g)
-        ]
-        dups = [vs for vs in dups if len(vs) > 1]
-        mult_bounds = multiplicity_bounds_from_structure(g, rep, dups, twins)
+        mult_bounds = multiplicity_bounds_from_structure(
+            g, rep, duplicate_classes(g), twin_classes(g)
+        )
 
     return BoundReport(
         n=g.n,

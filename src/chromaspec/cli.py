@@ -16,6 +16,7 @@ from . import bounds, compose, families, search, verify
 from .graphs import (
     CHROMATIC_CAP, Graph, GraphError, read_edge_list, to_dot, to_json, write_edge_list,
 )
+from .spectral import DEFAULT_GROUP_TOL
 
 USAGE_ERROR = 2
 
@@ -123,6 +124,11 @@ def _parse_compose_input(token: str) -> list[Graph]:
     return [_load_graph(token)]
 
 
+def _check_composed_size(n: int) -> None:
+    if n > CHROMATIC_CAP:
+        raise GraphError(f"the composed graph has n = {n}, above the cap {CHROMATIC_CAP}")
+
+
 def cmd_compose(args: argparse.Namespace) -> int:
     if args.op == "onesum":
         if len(args.inputs) % 2 != 0 or not args.inputs:
@@ -130,11 +136,13 @@ def cmd_compose(args: argparse.Namespace) -> int:
         parts = []
         for spec, x in zip(args.inputs[::2], args.inputs[1::2]):
             parts.append((_load_graph(spec), int(x)))
+        _check_composed_size(1 + sum(g.n - 1 for g, _ in parts))
         result = compose.one_sum_many(parts).result
     elif args.op == "join":
         graphs = [g for token in args.inputs for g in _parse_compose_input(token)]
         if len(graphs) < 2:
             raise GraphError("join expects at least two graphs")
+        _check_composed_size(sum(g.n for g in graphs))
         acc = graphs[0]
         rest = graphs[1]
         for g in graphs[2:]:
@@ -178,7 +186,7 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     def default(value):
         return argparse.SUPPRESS if suppress else value
 
-    parser.add_argument("--tol", type=float, default=default(1e-8))
+    parser.add_argument("--tol", type=float, default=default(DEFAULT_GROUP_TOL))
     parser.add_argument("--seed", type=int, default=default(0))
     parser.add_argument(
         "--format", choices=["json", "text", "dot", "edgelist"], default=default("json")

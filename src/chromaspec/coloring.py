@@ -1,16 +1,16 @@
 """Exact coloring machinery and coloring-tied eigenfunction constructions.
 
 Color classes are vertex bitmasks, tested against the bitset rows of
-``Graph``. Chromatic number is exact: DSATUR gives the upper bound, a greedy
-maximal clique the lower bound, and a DSATUR branch and bound closes the gap.
-It branches on the most saturated uncolored vertex, backtracks as soon as an
-uncolored vertex has no allowed color (forward checking), breaks color
-symmetry by opening colors in order, and colors the components of the
-uncolored vertices one at a time. The chi-coloring that proves chi is kept as
-its witness (``chromatic_coloring``). Enumeration of proper chi-colorings is
-complete and canonical (classes ordered by least contained vertex), which
-makes "up to permutation" deduplication trivial. Equitability counts are
-popcounts of a row against a class mask.
+``Graph``. Chromatic number is exact: from a greedy maximal clique, a DSATUR
+branch and bound tries k = |clique|, |clique|+1, ... and its first k-coloring
+is the witness (``chromatic_coloring``). It branches on the most saturated
+uncolored vertex, backtracks as soon as an uncolored vertex has no allowed
+color (forward checking), breaks color symmetry by opening colors in order,
+and colors the components of the uncolored vertices one at a time; its first
+descent with n colors is the DSATUR heuristic. Enumeration of proper
+chi-colorings is complete and canonical (classes ordered by least contained
+vertex), which makes "up to permutation" deduplication trivial. Equitability
+counts are popcounts of a row against a class mask.
 """
 
 from __future__ import annotations
@@ -108,21 +108,16 @@ def greedy_clique(g: Graph) -> list[int]:
     return clique
 
 
+def _check_cap(g: Graph, name: str) -> None:
+    if g.n > CHROMATIC_CAP:
+        raise GraphError(f"{name} supports n <= {CHROMATIC_CAP}, got {g.n}")
+
+
 def dsatur(g: Graph) -> Coloring:
-    """DSATUR heuristic; ties broken by saturation, degree, then low index."""
-    assignment = [-1] * g.n
-    neighbor_colors: list[set[int]] = [set() for _ in range(g.n)]
-    for _ in range(g.n):
-        v = max(
-            (u for u in range(g.n) if assignment[u] == -1),
-            key=lambda u: (len(neighbor_colors[u]), g.degrees[u], -u),
-        )
-        color = 0
-        while color in neighbor_colors[v]:
-            color += 1
-        assignment[v] = color
-        for w in g.neighbors[v]:
-            neighbor_colors[w].add(color)
+    """DSATUR heuristic: the branch and bound's first descent with every
+    color allowed, seeded with the greedy clique; it never backtracks."""
+    _check_cap(g, "dsatur")
+    assignment = _can_color_with(g, g.n, greedy_clique(g))
     return Coloring(tuple(assignment), max(assignment) + 1).canonical()
 
 
@@ -199,21 +194,14 @@ def _can_color_with(g: Graph, k: int, clique: list[int]) -> Optional[list[int]]:
 
 
 def chromatic_coloring(g: Graph) -> Coloring:
-    """A chi-coloring, the witness of the exact chromatic number: DSATUR's
-    coloring when it uses chi colors, else the branch and bound's."""
-    if g.n > CHROMATIC_CAP:
-        raise GraphError(
-            f"chromatic_number supports n <= {CHROMATIC_CAP}, got {g.n}"
-        )
-    if g.num_edges == 0:
-        return Coloring((0,) * g.n, 1)
-    upper = dsatur(g)
+    """A chi-coloring, the witness of the exact chromatic number: the first
+    coloring the branch and bound finds for k = |clique|, |clique|+1, ..."""
+    _check_cap(g, "chromatic_number")
     clique = greedy_clique(g)
-    for k in range(max(len(clique), 2), upper.k):
-        assignment = _can_color_with(g, k, clique)
-        if assignment is not None:
-            return Coloring(tuple(assignment), k).canonical()
-    return upper
+    k = len(clique)
+    while (assignment := _can_color_with(g, k, clique)) is None:
+        k += 1
+    return Coloring(tuple(assignment), k).canonical()
 
 
 def chromatic_number(g: Graph) -> int:

@@ -14,7 +14,6 @@ import numpy as np
 from .graphs import Graph, GraphError, from_edge_list
 from .spectral import (
     DEFAULT_GROUP_TOL,
-    eigensystem,
     largest_eigenvalue,
     spectrum,
     verify_eigenpair,

@@ -184,8 +184,8 @@ def _families(shared: _Corpora) -> list[tuple]:
         ("g_ktd chromatic number equals theta", "grid k,theta<=4",
          small, lambda g, k, theta, d: chromatic_number(g) == theta),
         ("g_ktd with d<k has a unique chi-coloring", "",
-         small, lambda g, k, theta, d: d == k or g.n > 32
-         or len(enumerate_chi_colorings(g, theta)) == 1),
+         small, lambda g, k, theta, d:
+         d == k or len(enumerate_chi_colorings(g, theta)) == 1),
         ("g_ktd canonical coloring is equitable", "",
          small, lambda g, k, theta, d: is_equitable_DinvA(
              g, Coloring(tuple(v // k for v in range(g.n)), theta))),

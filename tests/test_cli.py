@@ -114,8 +114,10 @@ def test_oversized_header_exits_2_before_building(capsys, tmp_path, argv):
         ["report", "gpetal(100000,2)"],
         ["gen", "Gktd(1000,1000,1)"],
         ["compose", "join", "K_1", "100000xK_1", "--format", "edgelist"],
+        ["compose", "join", "K_64", "64xK_64", "--format", "edgelist"],
+        ["compose", "onesum", "K_64", "0", "K_2", "0", "--format", "edgelist"],
     ],
-    ids=["complete", "gpetal", "gktd", "compose-copies"],
+    ids=["complete", "gpetal", "gktd", "compose-copies", "compose-join", "compose-onesum"],
 )
 def test_oversized_spec_exits_2_before_building(capsys, argv):
     start = time.perf_counter()
@@ -127,6 +129,11 @@ def test_oversized_spec_exits_2_before_building(capsys, argv):
 def test_spec_at_the_cap_is_built(capsys):
     code, out = run(capsys, "gen", "K_64")
     assert code == 0 and json.loads(out)["n"] == 64
+
+
+def test_composition_at_the_cap_is_built(capsys):
+    code, out = run(capsys, "compose", "join", "K_32", "K_32", "--format", "edgelist")
+    assert code == 0 and read_edge_list(out).n == 64
 
 
 class TestVerify:

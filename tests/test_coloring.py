@@ -100,13 +100,22 @@ class TestChromaticNumber:
         assert chromatic_number(cycle(7)) == 3
 
     def test_cap(self):
+        g = from_edge_list(CHROMATIC_CAP + 1, [(0, 1)])
         with pytest.raises(GraphError):
-            chromatic_number(from_edge_list(CHROMATIC_CAP + 1, [(0, 1)]))
+            chromatic_number(g)
+        with pytest.raises(GraphError):
+            dsatur(g)
 
     def test_dsatur_upper_clique_lower(self):
         g = petal(3)
         assert dsatur(g).k >= 3
         assert len(greedy_clique(g)) <= 3
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_edgeless_witness(self, n):
+        g = from_edge_list(n, [])
+        c = chromatic_coloring(g)
+        assert c.k == 1 and is_proper(g, c)
 
     @pytest.mark.parametrize(
         "n, edges, chi",
@@ -414,6 +423,8 @@ def test_chromatic_number_matches_brute_force_on_atlas():
         assert chromatic_number(g) == chi, list(a.edges())
         witness = chromatic_coloring(g)
         assert is_proper(g, witness) and witness.k == chi, list(a.edges())
+        upper = dsatur(g)
+        assert is_proper(g, upper) and upper.k >= chi, list(a.edges())
 
 
 def test_chromatic_coloring_on_chi_pool():
@@ -423,3 +434,5 @@ def test_chromatic_coloring_on_chi_pool():
     for g, chi in pool:
         witness = chromatic_coloring(g)
         assert is_proper(g, witness) and witness.k == chi
+        upper = dsatur(g)
+        assert is_proper(g, upper) and upper.k >= chi
