@@ -10,10 +10,11 @@ from typing import Optional
 import numpy as np
 
 from .coloring import (
+    ENUMERATION_BUDGET,
     ENUMERATION_CAP,
     Coloring,
+    _visit_chi_colorings,
     chromatic_coloring,
-    enumerate_chi_colorings,
     is_equitable_DinvA,
 )
 from .graphs import Graph, GraphError, classify_pair, is_connected, is_regular, min_degree
@@ -237,20 +238,34 @@ def full_report(g: Graph, tol: float = DEFAULT_GROUP_TOL) -> BoundReport:
     gap = lam - lower
 
     if g.n <= ENUMERATION_CAP:
-        colorings = enumerate_chi_colorings(g, chi)
-        complete_enum = True
+        # rep, the first coloring, is the upper bounds' input.
+        firsts: list[Coloring] = []
+        flags: list[bool] = []
+
+        def visit(assignment: list[int], ok: bool) -> None:
+            if not flags:
+                firsts.append(Coloring(tuple(assignment), chi))
+            flags.append(ok)
+
+        complete_enum = _visit_chi_colorings(g, chi, visit, ENUMERATION_BUDGET)
+        if not complete_enum:
+            notes.append(
+                f"more than {ENUMERATION_BUDGET} chi-colorings: "
+                f"the first {ENUMERATION_BUDGET} checked"
+            )
+        rep, equitable = firsts[0], tuple(flags)
     else:
-        colorings = [witness]
-        complete_enum = False
+        rep, complete_enum = witness, False
         notes.append(f"n > {ENUMERATION_CAP}: only the chi-coloring that proves chi checked")
-    equitable = tuple(is_equitable_DinvA(g, c) for c in colorings)
-    # Every chi-coloring of a sharp graph is equitable: the filter only saves work.
+        equitable = (is_equitable_DinvA(g, witness),)
+    # Every chi-coloring of a sharp graph is equitable: the filter only saves
+    # work, and one non-equitable coloring, even in a partial list, rules
+    # sharpness out.
     sharp_mult = sharp_multiplicity(g, chi) if all(equitable) else 0
     sharp = sharp_mult > 0
     mult = sharp_mult or mult
 
     uppers: list[tuple[str, Optional[float], bool, Optional[bool]]] = []
-    rep = colorings[0]
     for name, fn in [
         ("equal_classes_N_over_delta", upper_bound_equal_classes),
         ("general_scaled_multipartite", upper_bound_general),

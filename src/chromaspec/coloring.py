@@ -7,10 +7,14 @@ is the witness (``chromatic_coloring``). It branches on the most saturated
 uncolored vertex, backtracks as soon as an uncolored vertex has no allowed
 color (forward checking), breaks color symmetry by opening colors in order,
 and colors the components of the uncolored vertices one at a time; its first
-descent with n colors is the DSATUR heuristic. Enumeration of proper
-chi-colorings is complete and canonical (classes ordered by least contained
-vertex), which makes "up to permutation" deduplication trivial. Equitability
-counts are popcounts of a row against a class mask.
+descent with n colors is the DSATUR heuristic. One enumerator lists the
+proper chi-colorings, canonically (classes ordered by least contained vertex),
+which makes "up to permutation" deduplication trivial; it tests each
+coloring's equitability as it goes, each vertex once its closed neighborhood
+has colors, and hands a flag to a callback at every leaf.
+``enumerate_chi_colorings`` keeps every coloring; ``bounds.full_report``
+keeps the first and the flags, and stops after ``ENUMERATION_BUDGET``
+colorings. Equitability counts are popcounts of a row against a class mask.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from .spectral import rayleigh_quotient
 __all__ = [
     "CHROMATIC_CAP",
     "ENUMERATION_CAP",
+    "ENUMERATION_BUDGET",
     "Coloring",
     "is_proper",
     "greedy_clique",
@@ -47,6 +52,8 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 32
+# full_report checks at most this many chi-colorings of one graph.
+ENUMERATION_BUDGET = 2**18
 
 
 @dataclass(frozen=True)
@@ -209,12 +216,83 @@ def chromatic_number(g: Graph) -> int:
     return chromatic_coloring(g).k
 
 
-def enumerate_chi_colorings(g: Graph, chi: int) -> list[Coloring]:
-    """All proper chi-colorings, one representative per class permutation.
+class _BudgetSpent(Exception):
+    """Raised at the first coloring past the budget of ``_visit_chi_colorings``."""
 
-    The canonical-first symmetry breaking (vertex v may open color c only if
-    colors 0..c-1 are already open) enumerates exactly the canonical forms.
-    Vertex v may take a color whose class bitmask misses its row.
+
+def _visit_chi_colorings(
+    g: Graph,
+    chi: int,
+    visit: Callable[[list[int], bool], object],
+    budget: Optional[int] = None,
+) -> bool:
+    """Call ``visit(assignment, equitable)`` at each canonical chi-coloring.
+
+    Colorings come one per class permutation, in lexicographic order of their
+    assignments: vertices are colored 0, 1, ..., n-1, vertex v takes a color
+    whose class bitmask misses its row, and it may open color c only if
+    colors 0..c-1 are already open. ``assignment`` is the enumerator's own
+    list, valid only during the call. ``equitable`` is the exact test of
+    ``is_equitable_DinvA``, done as the search goes: vertex w is tested right
+    after vertex max(w, highest neighbor of w) is colored, when none of its
+    class counts can change any more; a failure is carried down, and nothing
+    below it is tested again. After ``budget`` colorings the enumeration
+    stops. Returns whether every coloring was visited.
+
+    Neither ``chi`` nor the size of the graph is checked here.
+    """
+    n, rows, degrees = g.n, g.rows, g.degrees
+    k1 = chi - 1
+    # ready[v]: the vertices whose closed neighborhood lies in 0..v-1, but
+    # not in 0..v-2; they are tested once vertices 0..v-1 have colors.
+    ready: list[list[int]] = [[] for _ in range(n + 1)]
+    for w, row in enumerate(rows):
+        ready[max(w, row.bit_length() - 1) + 1].append(w)
+    assignment = [-1] * n
+    masks = [0] * chi
+    visited = 0
+
+    def equitable_at(ws: list[int]) -> bool:
+        for w in ws:
+            row, deg, own = rows[w], degrees[w], assignment[w]
+            for i, mask in enumerate(masks):
+                if i != own and k1 * (row & mask).bit_count() != deg:
+                    return False
+        return True
+
+    def rec(v: int, used: int, ok: bool) -> None:
+        nonlocal visited
+        if chi - used > n - v:  # too few vertices left to open every color
+            return
+        if ok and ready[v]:
+            ok = equitable_at(ready[v])
+        if v == n:
+            if visited == budget:
+                raise _BudgetSpent
+            visited += 1
+            visit(assignment, ok)
+            return
+        row = rows[v]
+        bit = 1 << v
+        for color in range(min(used + 1, chi)):
+            mask = masks[color]
+            if row & mask:
+                continue
+            assignment[v] = color
+            masks[color] = mask | bit
+            rec(v + 1, used + (color == used), ok)
+            masks[color] = mask
+
+    try:
+        rec(0, 0, True)
+    except _BudgetSpent:
+        return False
+    return True
+
+
+def enumerate_chi_colorings(g: Graph, chi: int) -> list[Coloring]:
+    """All proper chi-colorings, one representative per class permutation,
+    in the order of ``_visit_chi_colorings``.
 
     ``chi`` must be the chromatic number: the graph has no (chi-1)-coloring,
     and the enumeration finds a chi-coloring.
@@ -227,29 +305,8 @@ def enumerate_chi_colorings(g: Graph, chi: int) -> list[Coloring]:
     clique = greedy_clique(g)
     if len(clique) > chi or _can_color_with(g, chi - 1, clique) is not None:
         raise GraphError(wrong_chi)
-    n, rows = g.n, g.rows
     results: list[Coloring] = []
-    assignment = [-1] * n
-    masks = [0] * chi
-
-    def rec(v: int, used: int) -> None:
-        if chi - used > n - v:  # too few vertices left to open every color
-            return
-        if v == n:
-            results.append(Coloring(tuple(assignment), chi))
-            return
-        row = rows[v]
-        bit = 1 << v
-        for color in range(min(used + 1, chi)):
-            mask = masks[color]
-            if row & mask:
-                continue
-            assignment[v] = color
-            masks[color] = mask | bit
-            rec(v + 1, used + (color == used))
-            masks[color] = mask
-
-    rec(0, 0)
+    _visit_chi_colorings(g, chi, lambda a, _: results.append(Coloring(tuple(a), chi)))
     if not results:
         raise GraphError(wrong_chi)
     return results

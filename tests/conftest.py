@@ -50,20 +50,20 @@ def brute_canonical_colorings(g: Graph, k: int) -> set[tuple[int, ...]]:
     """All proper k-colorings using every color, canonicalized and deduped.
 
     Canonical form: classes renumbered by first occurrence along the vertex
-    order. Independent of the library's enumeration.
+    order. Every one of the k^n assignments is tested at once, as the rows of
+    a numpy array, against the edge list. Independent of the library's
+    enumeration.
     """
+    table = np.indices((k,) * g.n, dtype=np.int8).reshape(g.n, -1)
+    keep = np.ones(table.shape[1], dtype=bool)
+    for v, w in g.edges():
+        keep &= table[v] != table[w]
+    for c in range(k):
+        keep &= (table == c).any(axis=0)
     out: set[tuple[int, ...]] = set()
-    for assignment in product(range(k), repeat=g.n):
-        if len(set(assignment)) != k:
-            continue
-        if any(assignment[v] == assignment[w] for v, w in g.edges()):
-            continue
+    for assignment in table[:, keep].T.tolist():
         relabel: dict[int, int] = {}
-        canon = []
-        for c in assignment:
-            relabel.setdefault(c, len(relabel))
-            canon.append(relabel[c])
-        out.add(tuple(canon))
+        out.add(tuple(relabel.setdefault(c, len(relabel)) for c in assignment))
     return out
 
 

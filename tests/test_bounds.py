@@ -19,12 +19,19 @@ from chromaspec.bounds import (
     upper_bound_general,
     upper_bound_regular_equitable,
 )
-from chromaspec.coloring import Coloring, chromatic_number
+from chromaspec.coloring import (
+    ENUMERATION_BUDGET,
+    Coloring,
+    chromatic_number,
+    enumerate_chi_colorings,
+    is_equitable_DinvA,
+)
 from chromaspec.families import (
     complete,
     complete_bipartite,
     complete_split,
     g_ktd,
+    parse_family,
     petal,
     turan,
 )
@@ -246,6 +253,28 @@ class TestFullReport:
             for _, value, applicable, satisfied in rep.upper_bounds:
                 if applicable:
                     assert satisfied == (rep.lambda_max <= value + 1e-8)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["gpetal(5,4)", "petal(6)", "K_14", "K_{6,7}", "T(12,3)", "Gktd(2,5,1)",
+         "Gktd(4,4,2)", "Gktd(5,5,3)", "split(8,5)", "C13"],
+    )
+    def test_flags_match_a_check_of_each_coloring(self, spec):
+        # The benchmark's family specs, and an odd cycle with many colorings.
+        g = cycle(13) if spec == "C13" else parse_family(spec)
+        rep = full_report(g)
+        assert rep.colorings_complete and not rep.notes
+        assert list(rep.equitable) == [
+            is_equitable_DinvA(g, c) for c in enumerate_chi_colorings(g, rep.chi)
+        ]
+
+    def test_enumeration_budget_on_c31(self):
+        # C_31 has (2^31 - 2) / 6, about 3.6e8, canonical 3-colorings.
+        assert ENUMERATION_BUDGET == 2**18
+        rep = full_report(cycle(31))
+        assert len(rep.equitable) == ENUMERATION_BUDGET
+        assert rep.colorings_complete is False and rep.sharp is False
+        assert rep.notes == ("more than 262144 chi-colorings: the first 262144 checked",)
 
     def test_checks_the_witness_above_the_cap(self):
         for g, chi in chi_pool():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from chromaspec.coloring import (
     CHROMATIC_CAP,
     Coloring,
+    _visit_chi_colorings,
     chromatic_coloring,
     chromatic_number,
     class_indicator_pm,
@@ -407,6 +408,37 @@ def test_equitability_of_any_coloring(g, data):
             is_equitable_DinvA(g, c)
     else:
         assert is_equitable_DinvA(g, c) == brute_equitable_DinvA(g, assignment, c.k)
+
+
+def test_visited_colorings_and_flags_match_brute_force_on_atlas():
+    # Order and flags of the one enumerator: its colorings in lexicographic
+    # order, each flag the definition of D^-1 A equitability.
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        from_edge_list(a.number_of_nodes(), list(a.edges()))
+        for a in nx.graph_atlas_g()
+        if 1 <= a.number_of_nodes() <= 7 and nx.is_connected(a)
+    ]
+    assert len(graphs) == 996
+    for g in graphs + [cycle(13)]:
+        chi = chromatic_number(g)
+        seen: list[tuple[tuple[int, ...], bool]] = []
+        assert _visit_chi_colorings(g, chi, lambda a, ok: seen.append((tuple(a), ok)))
+        assert [a for a, _ in seen] == sorted(brute_canonical_colorings(g, chi)), g.edges()
+        for a, ok in seen:
+            assert ok == brute_equitable_DinvA(g, a, chi), (g.edges(), a)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 5, 21])
+def test_visit_budget(budget):
+    # P_5, C_5 and C_7 have 1, 5 and 21 canonical chi-colorings. The visit
+    # stops after the budget, and reports it only when colorings remain.
+    for g, chi in [(path(5), 2), (cycle(5), 3), (cycle(7), 3)]:
+        every = [c.assignment for c in enumerate_chi_colorings(g, chi)]
+        seen: list[tuple[int, ...]] = []
+        done = _visit_chi_colorings(g, chi, lambda a, _: seen.append(tuple(a)), budget)
+        assert done == (len(every) <= budget)
+        assert seen == every[:budget]
 
 
 def test_chromatic_number_matches_brute_force_on_atlas():

@@ -16,6 +16,9 @@ The corpus:
   - the benchmark's ``report`` corpus: the odd cycles of
     ``perfbench/run.py`` read from edge-list files, and the family specs of
     ``perfbench/oracle.py``;
+  - ``report`` on C_19 read from an edge-list file: its 87,381
+    chi-colorings, 4x the benchmark's largest and under
+    ``ENUMERATION_BUDGET``, check the enumeration past the benchmark's sizes;
   - ``report`` on each graph of ``perfbench/chi_pool.json``, read from an
     edge-list file.
 """
@@ -45,7 +48,7 @@ def corpus(tmp: Path) -> list[list[str]]:
         for pred in ["sharp"] + [f"sharp-mult={m}" for m in range(1, 7)]
     ]
     rng = random.Random(0)
-    for n in bench.REPORT_CYCLES:
+    for n in bench.REPORT_CYCLES + (19,):
         path = tmp / f"C{n}.txt"
         bench.write_edge_list(path, *oracle.cycle(n), rng)
         cmds.append(["report", str(path)])
