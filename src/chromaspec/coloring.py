@@ -294,21 +294,16 @@ def enumerate_chi_colorings(g: Graph, chi: int) -> list[Coloring]:
     """All proper chi-colorings, one representative per class permutation,
     in the order of ``_visit_chi_colorings``.
 
-    ``chi`` must be the chromatic number: the graph has no (chi-1)-coloring,
-    and the enumeration finds a chi-coloring.
+    ``chi`` must be the chromatic number, as ``chromatic_coloring`` finds it.
     """
     if g.n > ENUMERATION_CAP:
         raise GraphError(
             f"enumerate_chi_colorings supports n <= {ENUMERATION_CAP}, got {g.n}"
         )
-    wrong_chi = f"chi={chi} is not the chromatic number of the graph"
-    clique = greedy_clique(g)
-    if len(clique) > chi or _can_color_with(g, chi - 1, clique) is not None:
-        raise GraphError(wrong_chi)
+    if chromatic_coloring(g).k != chi:
+        raise GraphError(f"chi={chi} is not the chromatic number of the graph")
     results: list[Coloring] = []
     _visit_chi_colorings(g, chi, lambda a, _: results.append(Coloring(tuple(a), chi)))
-    if not results:
-        raise GraphError(wrong_chi)
     return results
 
 

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, GraphError, from_edge_list
-from .spectral import (
-    DEFAULT_GROUP_TOL,
-    largest_eigenvalue,
-    spectrum,
-    verify_eigenpair,
-)
+from .spectral import verify_eigenpair
 
 __all__ = [
     "GluedGraph",
@@ -27,7 +22,6 @@ __all__ = [
     "disjoint_union",
     "edge_disjoint_union",
     "glue_functions",
-    "one_sum_lambda_max_check",
     "one_sum_multiplicity_prediction",
     "glue_eigenbasis",
 ]
@@ -120,18 +114,6 @@ def glue_functions(f1, f2, glue: GluedGraph) -> np.ndarray:
             raise GraphError(f"functions disagree at shared vertex {new}")
         out[new] = f2[old]
     return out
-
-
-def one_sum_lambda_max_check(
-    g1: Graph, x1: int, g2: Graph, x2: int, tol: float = DEFAULT_GROUP_TOL
-) -> tuple[float, float, bool]:
-    """Largest eigenvalue of the 1-sum vs the max of the summands' largest."""
-    glued = one_sum(g1, x1, g2, x2)
-    lam, _ = largest_eigenvalue(spectrum(glued.result, tol))
-    l1, _ = largest_eigenvalue(spectrum(g1, tol))
-    l2, _ = largest_eigenvalue(spectrum(g2, tol))
-    bound = max(l1, l2)
-    return lam, bound, lam <= bound + tol
 
 
 def one_sum_multiplicity_prediction(m1: int, m2: int, both_glue_zero: bool) -> int:

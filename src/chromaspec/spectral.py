@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, GraphError, connected_components
+from .graphs import Graph, GraphError
 
 __all__ = [
     "DEFAULT_GROUP_TOL",
@@ -174,9 +174,3 @@ def multiplicity_of(s: Spectrum, lam: float) -> int:
 def largest_eigenvalue(s: Spectrum) -> tuple[float, int]:
     value, mult = s.groups[-1]
     return value, mult
-
-
-def zero_multiplicity_matches_components(g: Graph, tol: float = DEFAULT_GROUP_TOL) -> bool:
-    """Invariant helper: multiplicity of 0 equals the component count."""
-    s = spectrum(g, tol)
-    return multiplicity_of(s, 0.0) == len(connected_components(g))

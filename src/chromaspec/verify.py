@@ -7,9 +7,11 @@ failed. A claim fails at its first case whose predicate is false, and its
 detail then ends with ``counterexample: <label>``: a graph as
 ``chromaspec gen --format json`` prints it, or a tuple of parameters.
 
-The family grid and the seeded random graphs are built once per run; the
-``bounds`` corpus takes a prefix of the random graphs in the ``sharp`` one.
-Corpora are reproducible from the seed.
+The family grid and the seeded random graphs are built once per run. The
+``sharp`` and ``bounds`` suites share one corpus, the random graphs followed
+by the family graphs, and read one ``bounds.full_report`` per corpus graph,
+so their claims check the code that ``chromaspec report`` ships. Corpora are
+reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -43,8 +45,8 @@ __all__ = ["random_connected_graph", "SUITES", "run_suites"]
 Row = tuple[str, bool, str]
 
 TOL = 1e-8
-SHARP_RANDOM = 500  # random graphs in the sharp corpus unless `random` is given
-BOUNDS_RANDOM = 100  # ... and in the bounds corpus, a prefix of the same stream
+SHARP_RANDOM = 500  # random graphs in the shared corpus unless `random` is given
+RANDOM_CAP = 5000  # the most random graphs a run accepts: `verify --max-n 100`
 ONESUM_PAIRS = 200
 EDU_TRIALS = 100
 
@@ -111,17 +113,16 @@ class _Corpora:
     """The inputs that several suites of one run share, each built on first use."""
 
     def __init__(self, seed: int, random: int | None) -> None:
+        if random is not None and random > RANDOM_CAP:
+            raise GraphError(f"{random} random graphs asked for, above the cap {RANDOM_CAP}")
         self.seed = seed
         self.random = random
-        self._rng = np.random.default_rng(seed)
-        self._graphs: list[Graph] = []
 
-    def random_graphs(self, default: int) -> list[Graph]:
-        """The first `random or default` graphs of the seeded random stream."""
-        count = self.random or default
-        while len(self._graphs) < count:
-            self._graphs.append(random_connected_graph(self._rng))
-        return self._graphs[:count]
+    @cached_property
+    def random_graphs(self) -> list[Graph]:
+        """The first `random or SHARP_RANDOM` graphs of the seeded random stream."""
+        rng = np.random.default_rng(self.seed)
+        return [random_connected_graph(rng) for _ in range(self.random or SHARP_RANDOM)]
 
     @cached_property
     def grid(self) -> list[tuple[Graph, families.ExactSpectrum]]:
@@ -130,6 +131,11 @@ class _Corpora:
     @cached_property
     def family_graphs(self) -> list[Graph]:
         return [g for g, _ in self.grid if g.n <= 25]
+
+    @cached_property
+    def reports(self) -> list[tuple[Graph, bounds.BoundReport]]:
+        """(graph, its full report) for the random graphs, then the family graphs."""
+        return [(g, bounds.full_report(g)) for g in self.random_graphs + self.family_graphs]
 
 
 def _lambda_max(g: Graph) -> float:
@@ -205,41 +211,28 @@ def _families(shared: _Corpora) -> list[tuple]:
     ]
 
 
-class _Profile(NamedTuple):
-    g: Graph
-    chi: int
-    lam: float
-
-
 def _sharp(shared: _Corpora) -> list[tuple]:
-    corpus = shared.random_graphs(SHARP_RANDOM) + shared.family_graphs
-    profiles = []
-    for g in corpus:
-        chi = chromatic_number(g)
-        if chi >= 2:
-            profiles.append(_Profile(g, chi, _lambda_max(g)))
-    # (profile, multiplicity of chi/(chi-1), every chi-coloring) per sharp
-    # graph; no equitability filter, so the equitability row below checks it
-    sharp = [
-        (p, mult, enumerate_chi_colorings(p.g, p.chi))
-        for p in profiles
-        if (mult := bounds.sharp_multiplicity(p.g, p.chi))
+    every = [(g, (rep,)) for g, rep in shared.reports]
+    # (report, multiplicity of chi/(chi-1)) per sharp graph. Sharpness comes
+    # from sharp_multiplicity, not rep.sharp: the report tests only graphs
+    # whose colorings are all equitable, which would make that row vacuous.
+    each_sharp = [
+        (g, (rep, mult))
+        for g, rep in shared.reports
+        if (mult := bounds.sharp_multiplicity(g, rep.chi))
     ]
-    every = [(p.g, (p,)) for p in profiles]
-    each_sharp = [(s[0].g, s) for s in sharp]
     return [
-        ("lambda_N >= chi/(chi-1) on corpus", f"{len(corpus)} graphs",
-         every, lambda p: p.lam >= p.chi / (p.chi - 1) - TOL),
+        ("lambda_N >= chi/(chi-1) on corpus", f"{len(every)} graphs",
+         every, lambda rep: rep.lambda_max >= rep.chi / (rep.chi - 1) - TOL),
         ("non-complete non-bipartite lambda_N >= (N+1)/(N-1)", "",
-         every, lambda p: p.g.num_edges == p.g.n * (p.g.n - 1) // 2 or p.chi == 2
-         or p.lam >= (p.g.n + 1) / (p.g.n - 1) - TOL),
+         every, lambda rep: rep.chi in (2, rep.n)
+         or rep.lambda_max >= (rep.n + 1) / (rep.n - 1) - TOL),
         ("sharp graphs: all chi-colorings equitable", "",
-         each_sharp, lambda p, mult, colorings: all(
-             is_equitable_DinvA(p.g, c) for c in colorings)),
+         each_sharp, lambda rep, mult: rep.colorings_complete and all(rep.equitable)),
         ("sharp graphs: multiplicity >= chi-1", "",
-         each_sharp, lambda p, mult, colorings: mult >= p.chi - 1),
+         each_sharp, lambda rep, mult: mult >= rep.chi - 1),
         ("sharp + multiplicity chi-1 implies unique coloring", "",
-         each_sharp, lambda p, mult, colorings: mult != p.chi - 1 or len(colorings) == 1),
+         each_sharp, lambda rep, mult: mult != rep.chi - 1 or len(rep.equitable) == 1),
     ]
 
 
@@ -356,13 +349,12 @@ def _equal_classes_tight(g: Graph, k: int) -> bool:
 
 
 def _bounds(shared: _Corpora) -> list[tuple]:
-    corpus = shared.random_graphs(BOUNDS_RANDOM) + shared.family_graphs
-    reports = [(g, (bounds.full_report(g),)) for g in corpus]
+    reports = [(g, (rep,)) for g, rep in shared.reports]
     turans = {
         (n, k): families.turan(n, k) for n in range(4, 13) for k in range(2, 5) if n % k == 0
     }
     return [
-        ("all applicable upper bounds hold", f"{len(corpus)} graphs",
+        ("all applicable upper bounds hold", f"{len(reports)} graphs",
          reports, lambda rep: all(
              satisfied for _name, _value, applicable, satisfied in rep.upper_bounds
              if applicable)),
@@ -385,8 +377,9 @@ SUITES = {
 def run_suites(names: list[str], seed: int = 0, random: int | None = None) -> list[Row]:
     """One row per claim of the named suites, in table order.
 
-    `random` replaces the default number of seeded random graphs in the
-    `sharp` (500) and `bounds` (100) corpora.
+    `random` replaces the default number of seeded random graphs (500) in
+    the corpus that the `sharp` and `bounds` suites share; above
+    `RANDOM_CAP` it raises GraphError before any graph is built.
     """
     shared = _Corpora(seed, random)
     return [_row(name, *claim) for name in names for claim in SUITES[name](shared)]

@@ -19,7 +19,6 @@ from chromaspec.bounds import (
     duplicate_classes,
     twin_classes,
     upper_bound_equal_classes,
-    upper_bound_general,
     upper_bound_regular_equitable,
 )
 from chromaspec.certificates import g_ktd_certificates
@@ -95,9 +94,9 @@ def family_claims():
 
 @pytest.fixture(scope="module")
 def corpus():
-    """The 500 seeded random graphs, and the sharp claims over them plus the families."""
+    """The seeded corpus, 500 random graphs plus the families, and its sharp claims."""
     corpora = verify._Corpora(20260823, None)
-    return corpora.random_graphs(500), claims("sharp", corpora)
+    return corpora, claims("sharp", corpora)
 
 
 def test_criterion_01_family_spectra(family_claims):
@@ -142,10 +141,10 @@ def test_criterion_03_case_table(family_claims):
 
 
 def test_criterion_04_lower_bound_universality(corpus):
-    random_graphs, sharp = corpus
-    assert len(random_graphs) == 500
+    corpora, sharp = corpus
+    assert len(corpora.random_graphs) == 500
     claim = sharp["lambda_N >= chi/(chi-1) on corpus"]
-    assert set(family_instances() + random_graphs) <= {p.g for _, (p,) in claim[0]}
+    assert set(family_instances() + corpora.random_graphs) <= {g for g, _ in claim[0]}
     assert_claim(claim)
     assert_claim(sharp["non-complete non-bipartite lambda_N >= (N+1)/(N-1)"])
 
@@ -155,14 +154,14 @@ def test_criterion_05_equitable_necessity(corpus):
     claim = sharp["sharp graphs: all chi-colorings equitable"]
     assert_claim(claim)
     # the corpus must actually contain sharp graphs
-    assert sum(len(colorings) for _, (_p, _m, colorings) in claim[0]) > 100
+    assert sum(len(rep.equitable) for _, (rep, _mult) in claim[0]) > 100
     # The float test |lambda_N - chi/(chi-1)| <= 1e-8 picks the same sharp
     # graphs, with the same multiplicities, as the table's exact decision.
-    exact = {p: mult for _, (p, mult, _colorings) in claim[0]}
-    for _, (p,) in sharp["lambda_N >= chi/(chi-1) on corpus"][0]:
-        lam, mult = largest_eigenvalue(spectrum(p.g))
-        float_sharp = abs(lam - p.chi / (p.chi - 1)) <= VALUE_TOL
-        assert (mult if float_sharp else 0) == exact.get(p, 0), p.g
+    exact = {g: mult for g, (_rep, mult) in claim[0]}
+    for g, (rep,) in sharp["lambda_N >= chi/(chi-1) on corpus"][0]:
+        lam, mult = largest_eigenvalue(spectrum(g))
+        float_sharp = abs(lam - rep.chi / (rep.chi - 1)) <= VALUE_TOL
+        assert (mult if float_sharp else 0) == exact.get(g, 0), g
 
 
 def test_criterion_06_multiplicity_floor(corpus):
@@ -320,22 +319,31 @@ def test_criterion_10_upper_bounds(family_claims, corpus):
             lam, _ = largest_eigenvalue(spectrum(g))
             assert bound is not None and abs(lam - bound) <= VALUE_TOL
 
-    # general bound on the corpus of criterion 4: the families and the random graphs
+    # The general and N/delta bounds on the corpus of criterion 4: each report
+    # checks them, within 1e-8, on its first chi-coloring, which is
+    # enumerate_chi_colorings(g, chi)[0].
+    corpora, sharp = corpus
+    upper = claims("bounds", corpora)["all applicable upper bounds hold"]
+    lower = sharp["lambda_N >= chi/(chi-1) on corpus"]
+    assert [g for g, _ in upper[0]] == [g for g, _ in lower[0]]
+    assert all(
+        applicable
+        for _, (rep,) in upper[0]
+        for name, _value, applicable, _satisfied in rep.upper_bounds
+        if name == "general_scaled_multipartite"
+    )
+    assert_claim(upper)
+
+    # the regular-equitable bound on every chi-coloring of the regular graphs
     regular_equitable_seen = 0
-    for _, (p,) in corpus[1]["lambda_N >= chi/(chi-1) on corpus"][0]:
-        g, lam = p.g, p.lam
-        colorings = enumerate_chi_colorings(g, p.chi)
-        c = colorings[0]
-        assert lam <= upper_bound_general(g, c) + VALUE_TOL
-        eq = upper_bound_equal_classes(g, c)
-        if eq is not None:
-            assert lam <= eq + VALUE_TOL
-        if is_regular(g) is not None:
-            for c2 in colorings:
-                reg = upper_bound_regular_equitable(g, c2)
-                if reg is not None:
-                    assert lam <= reg + VALUE_TOL
-                    regular_equitable_seen += 1
+    for g, (rep,) in upper[0]:
+        if is_regular(g) is None:
+            continue
+        for c in enumerate_chi_colorings(g, rep.chi):
+            reg = upper_bound_regular_equitable(g, c)
+            if reg is not None:
+                assert rep.lambda_max <= reg + VALUE_TOL
+                regular_equitable_seen += 1
     assert regular_equitable_seen > 0
 
     # complete split formula

@@ -153,6 +153,16 @@ class TestVerify:
         assert out == ""
         assert "--max-n >= 1" in run.err
 
+    # 50 random graphs per unit of --max-n, capped at 5000
+    @pytest.mark.parametrize("max_n", ["101", "1000000000"])
+    def test_max_n_above_cap_usage_error(self, capsys, max_n):
+        start = time.perf_counter()
+        code, out = run(capsys, "verify", "sharp", "--max-n", max_n)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "above the cap 5000" in run.err
+
 
 class TestCompose:
     def test_onesum_bowtie(self, capsys):

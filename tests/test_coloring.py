@@ -178,6 +178,14 @@ class TestEnumeration:
         with pytest.raises(GraphError, match="not the chromatic number"):
             enumerate_chi_colorings(g, chi)
 
+    # Mycielski's M5: 23 vertices, chi 5, greedy clique 2, so chi = 4 is
+    # refuted only by the chromatic-number branch and bound
+    @pytest.mark.parametrize("chi", [4, 6])
+    def test_wrong_chi_rejected_on_mycielski_m5(self, chi):
+        g = from_edge_list(*mycielskian(*GROTZSCH))
+        with pytest.raises(GraphError, match="not the chromatic number"):
+            enumerate_chi_colorings(g, chi)
+
 
 class TestEquitable:
     def test_turan_canonical(self):

@@ -8,7 +8,6 @@ from chromaspec.compose import (
     glue_functions,
     join,
     one_sum,
-    one_sum_lambda_max_check,
     one_sum_many,
     one_sum_multiplicity_prediction,
 )
@@ -150,12 +149,15 @@ class TestGlueFunctions:
 
 class TestInterlacing:
     def test_k3_k4(self):
-        lam, bound, ok = one_sum_lambda_max_check(complete(3), 0, complete(4), 0)
-        assert ok and lam == pytest.approx(1.5) and bound == pytest.approx(1.5)
+        lam, _ = largest_eigenvalue(spectrum(one_sum(complete(3), 0, complete(4), 0).result))
+        bound = max(largest_eigenvalue(spectrum(g))[0] for g in (complete(3), complete(4)))
+        assert lam <= bound + 1e-8
+        assert lam == pytest.approx(1.5) and bound == pytest.approx(1.5)
 
     def test_k3_k3(self):
-        lam, _, ok = one_sum_lambda_max_check(complete(3), 0, complete(3), 0)
-        assert ok and lam == pytest.approx(1.5)
+        lam, _ = largest_eigenvalue(spectrum(one_sum(complete(3), 0, complete(3), 0).result))
+        assert lam <= largest_eigenvalue(spectrum(complete(3)))[0] + 1e-8
+        assert lam == pytest.approx(1.5)
 
     def test_two_clique_sum_counterexamples(self):
         # gluing two triangles along an edge instead of a vertex breaks the

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from chromaspec.coloring import class_indicator_pm, pair_pm
 from chromaspec.coloring import Coloring
 from chromaspec.families import complete, complete_bipartite, petal
-from chromaspec.graphs import GraphError, from_edge_list
+from chromaspec.graphs import GraphError, connected_components, from_edge_list
 from chromaspec.spectral import (
     degree_inner_product,
     eigensystem,
@@ -18,7 +18,6 @@ from chromaspec.spectral import (
     spectrum,
     symmetrized_laplacian,
     verify_eigenpair,
-    zero_multiplicity_matches_components,
 )
 
 from conftest import bowtie, brute_spectrum, cycle, path, star
@@ -160,7 +159,7 @@ class TestGroupQueries:
 
     def test_zero_multiplicity_components(self):
         g = from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert zero_multiplicity_matches_components(g)
+        assert multiplicity_of(spectrum(g), 0.0) == len(connected_components(g)) == 2
 
 
 @st.composite

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chromaspec import families
+from chromaspec import bounds, families, verify
 from chromaspec.cli import main
 from chromaspec.verify import SUITES, run_suites
 
@@ -62,3 +62,25 @@ def test_failing_row_names_its_counterexample(monkeypatch, capsys):
     expected = families.complete_split(1, 2)
     assert graph["n"] == expected.n
     assert [tuple(e) for e in graph["edges"]] == list(expected.edges())
+
+
+def test_sharp_and_bounds_read_one_report_per_corpus_graph(monkeypatch):
+    # Both suites read the shared reports; neither enumerates colorings itself.
+    calls = {"full_report": 0, "enumerate_chi_colorings": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(bounds, "full_report")
+    counted(verify, "enumerate_chi_colorings")
+    corpora = verify._Corpora(7, None)
+    expected = len(corpora.random_graphs) + len(corpora.family_graphs)
+    assert expected == 671
+    run_suites(["sharp", "bounds"], seed=7)
+    assert calls == {"full_report": expected, "enumerate_chi_colorings": 0}
